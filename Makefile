@@ -9,8 +9,12 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is a nested Go module, so ./... at the root never compiles
+# it; vet it separately so that removing an exported symbol it uses
+# fails here instead of in the benchmark.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Fail (don't warn) when any file needs gofmt, matching the CI gate.
 fmt-check:
@@ -30,7 +34,7 @@ lint: vet
 
 # The hot-path packages carry the bit-identity and zero-alloc
 # contracts; run them under the race detector too (nn holds the
-# ShardGroup-based ParallelSLS fan-out, embcache the lock-striped
+# ParallelFor-based SLS gather fan-out, embcache the lock-striped
 # hot-row cache consulted by every planned gather, shard the
 # hedged-fan-out client and loopback servers of the remote tier,
 # sched/adapt the control loop that flips live batch policies under

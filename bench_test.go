@@ -489,15 +489,12 @@ func BenchmarkShardGatherLocalB64(b *testing.B) { benchmarkShardGatherLocal(b) }
 // with a 5%-of-rows clock cache, held by the regression gate against
 // the uncached BenchmarkSLSGatherZipfNoCache (EXPERIMENTS.md records
 // the speedup). Clock with lazy admission is the measured winner;
-// the LRU and direct variants below keep the policy comparison honest.
+// the LRU variant below keeps the policy comparison honest.
 func BenchmarkSLSGatherZipf(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock"})
 }
 func BenchmarkSLSGatherZipfLRU(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "lru"})
-}
-func BenchmarkSLSGatherZipfDirect(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "direct"})
 }
 func BenchmarkSLSGatherZipfNoCache(b *testing.B) { benchmarkSLSGather(b, slsGatherBench{s: 1.1}) }
 func BenchmarkSLSGatherZipfMid(b *testing.B) {

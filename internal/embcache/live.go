@@ -29,9 +29,6 @@ type Concurrent struct {
 	policy int
 	shift  uint // shard index = top bits of the mixed ID
 	shards []shard
-	// direct replaces the sharded map entirely for the "direct" policy
-	// (direct-mapped slots under per-slot seqlocks — see direct.go).
-	direct *directCache
 	gen    atomic.Uint64
 }
 
@@ -40,24 +37,18 @@ type Concurrent struct {
 // contract rules out.
 const (
 	polLRU = iota
-	polFIFO
 	polClock
-	polDirect
 )
 
 // Policies lists the eviction policies NewConcurrent accepts.
-func Policies() []string { return []string{"lru", "fifo", "clock", "direct"} }
+func Policies() []string { return []string{"lru", "clock"} }
 
 func parsePolicy(p string) (int, error) {
 	switch strings.ToLower(p) {
 	case "", "lru":
 		return polLRU, nil
-	case "fifo":
-		return polFIFO, nil
 	case "clock":
 		return polClock, nil
-	case "direct":
-		return polDirect, nil
 	default:
 		return 0, fmt.Errorf("embcache: unknown policy %q (want %s)", p, strings.Join(Policies(), ", "))
 	}
@@ -73,8 +64,8 @@ func ValidatePolicy(policy string) error {
 
 // shard is one lock stripe: a slot map over a flat row store plus the
 // policy state. prev/next/head/tail form the intrusive recency list
-// (slot indices, -1 = none) for lru and fifo; ref/hand are the
-// second-chance bits for clock.
+// (slot indices, -1 = none) for lru; ref/hand are the second-chance
+// bits for clock.
 type shard struct {
 	mu   sync.Mutex
 	gen  uint64
@@ -120,12 +111,6 @@ func NewConcurrent(capacity, cols int, policy string, shards int) (*Concurrent, 
 	pol, err := parsePolicy(policy)
 	if err != nil {
 		return nil, err
-	}
-	if pol == polDirect {
-		// Direct-mapped mode has no shards or lock stripes: concurrency
-		// is per-slot (seqlocks), so the shards knob is irrelevant and
-		// capacity is the exact slot count.
-		return &Concurrent{cols: cols, policy: pol, direct: newDirect(capacity, cols)}, nil
 	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -180,16 +165,12 @@ func (c *Concurrent) Invalidate() { c.gen.Add(1) }
 // Cols returns the row width.
 func (c *Concurrent) Cols() int { return c.cols }
 
-// Capacity returns the total row capacity across shards (or the exact
-// slot count for the direct policy).
+// Capacity returns the total row capacity across shards.
 func (c *Concurrent) Capacity() int {
-	if c.direct != nil {
-		return c.direct.slots
-	}
 	return len(c.shards) * c.shards[0].cap
 }
 
-// PolicyName returns the eviction policy ("lru", "fifo", or "clock").
+// PolicyName returns the eviction policy, one of Policies().
 func (c *Concurrent) PolicyName() string { return Policies()[c.policy] }
 
 // resetLocked clears the shard for a new generation. The map is
@@ -231,9 +212,6 @@ func (c *Concurrent) Lookup(gen, id uint64, dst []float32) bool {
 	if gen != c.gen.Load() {
 		return false
 	}
-	if c.direct != nil {
-		return c.direct.lookup(gen, id, dst)
-	}
 	s := c.shard(id)
 	s.mu.Lock()
 	if !s.syncGenLocked(gen) {
@@ -270,10 +248,6 @@ func (c *Concurrent) Insert(gen, id uint64, src []float32) {
 	if gen != c.gen.Load() {
 		return
 	}
-	if c.direct != nil {
-		c.direct.insert(gen, id, src)
-		return
-	}
 	s := c.shard(id)
 	s.mu.Lock()
 	if !s.syncGenLocked(gen) {
@@ -301,7 +275,7 @@ func (c *Concurrent) Insert(gen, id uint64, src []float32) {
 		s.ids[slot] = id
 		s.slots[id] = slot
 		switch c.policy {
-		case polLRU, polFIFO:
+		case polLRU:
 			s.pushFront(slot)
 		case polClock:
 			s.ref[slot] = false
@@ -311,10 +285,8 @@ func (c *Concurrent) Insert(gen, id uint64, src []float32) {
 	s.mu.Unlock()
 }
 
-// evictLocked selects and unlinks a victim slot. lru and fifo evict
-// the list tail (fifo never reorders on hit, so its tail is the oldest
-// admission); clock sweeps the hand, giving referenced slots a second
-// chance.
+// evictLocked selects and unlinks a victim slot. lru evicts the list
+// tail; clock sweeps the hand, giving referenced slots a second chance.
 func (s *shard) evictLocked() int32 {
 	if s.ref != nil {
 		for {
@@ -391,14 +363,6 @@ func (st LiveStats) HitRate() float64 {
 func (c *Concurrent) Stats() LiveStats {
 	cur := c.gen.Load()
 	var st LiveStats
-	if d := c.direct; d != nil {
-		return LiveStats{
-			Hits:      d.hits.Load(),
-			Misses:    d.misses.Load(),
-			Evictions: d.evictions.Load(),
-			Len:       d.len(cur),
-		}
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

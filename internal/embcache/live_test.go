@@ -31,8 +31,10 @@ func TestConcurrentConstructor(t *testing.T) {
 	if _, err := NewConcurrent(8, 0, "lru", 1); err == nil {
 		t.Error("cols 0 accepted")
 	}
-	if _, err := NewConcurrent(8, 8, "arc", 1); err == nil {
-		t.Error("unknown policy accepted")
+	for _, p := range []string{"arc", "direct", "fifo"} {
+		if _, err := NewConcurrent(8, 8, p, 1); err == nil {
+			t.Errorf("unknown policy %q accepted", p)
+		}
 	}
 	if err := ValidatePolicy("nope"); err == nil {
 		t.Error("ValidatePolicy accepted nope")
@@ -105,22 +107,6 @@ func TestConcurrentLRUEvictsLeastRecent(t *testing.T) {
 	}
 }
 
-func TestConcurrentFIFOEvictsOldest(t *testing.T) {
-	c := mustConcurrent(t, 2, 2, "fifo", 1)
-	gen := c.Gen()
-	dst := make([]float32, 2)
-	c.Insert(gen, 1, liveRow(1, 2))
-	c.Insert(gen, 2, liveRow(2, 2))
-	c.Lookup(gen, 1, dst)           // hit must NOT rescue 1 under fifo
-	c.Insert(gen, 3, liveRow(3, 2)) // evicts 1 (oldest admission)
-	if c.Lookup(gen, 1, dst) {
-		t.Error("oldest row 1 survived under fifo")
-	}
-	if !c.Lookup(gen, 2, dst) {
-		t.Error("row 2 evicted out of order")
-	}
-}
-
 func TestConcurrentClockSecondChance(t *testing.T) {
 	c := mustConcurrent(t, 2, 2, "clock", 1)
 	gen := c.Gen()
@@ -134,56 +120,6 @@ func TestConcurrentClockSecondChance(t *testing.T) {
 	}
 	if c.Lookup(gen, 2, dst) {
 		t.Error("unreferenced row 2 survived")
-	}
-}
-
-// TestConcurrentDirectMapped covers the direct policy's slot
-// semantics: an insert displaces exactly the row sharing its slot
-// (counted as an eviction), rows in other slots are untouched, and
-// packed storage round-trips odd widths.
-func TestConcurrentDirectMapped(t *testing.T) {
-	c := mustConcurrent(t, 4, 3, "direct", 0)
-	if c.PolicyName() != "direct" {
-		t.Fatalf("policy = %q, want direct", c.PolicyName())
-	}
-	if c.Capacity() != 4 {
-		t.Fatalf("Capacity() = %d, want exactly 4", c.Capacity())
-	}
-	gen := c.Gen()
-	d := c.direct
-	// Find two IDs that collide in one slot and one that does not.
-	a := uint64(1)
-	b := a + 1
-	for d.slot(b) != d.slot(a) {
-		b++
-	}
-	other := b + 1
-	for d.slot(other) == d.slot(a) {
-		other++
-	}
-	dst := make([]float32, 3)
-	c.Insert(gen, a, liveRow(a, 3))
-	c.Insert(gen, other, liveRow(other, 3))
-	if !c.Lookup(gen, a, dst) {
-		t.Fatal("miss after insert")
-	}
-	for j, v := range liveRow(a, 3) {
-		if dst[j] != v {
-			t.Fatalf("odd-width row mangled: %v", dst)
-		}
-	}
-	c.Insert(gen, b, liveRow(b, 3)) // displaces a, same slot
-	if c.Lookup(gen, a, dst) {
-		t.Error("displaced row still hit")
-	}
-	if !c.Lookup(gen, b, dst) {
-		t.Error("newly inserted row missed")
-	}
-	if !c.Lookup(gen, other, dst) {
-		t.Error("unrelated slot was disturbed")
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.Len != 2 {
-		t.Errorf("stats = %+v, want 1 eviction, len 2", st)
 	}
 }
 
@@ -232,7 +168,7 @@ func testGenerationInvalidation(t *testing.T, pol string) {
 // so any hit can be checked for staleness-free integrity; run under
 // -race this also exercises the lock striping.
 func TestConcurrentRace(t *testing.T) {
-	for _, pol := range []string{"lru", "direct"} {
+	for _, pol := range Policies() {
 		t.Run(pol, func(t *testing.T) { testConcurrentRace(t, pol) })
 	}
 }

@@ -340,9 +340,11 @@ func TestEmbCacheStatsAndMetrics(t *testing.T) {
 // construction, not first lookup.
 func TestEmbCacheOptionValidation(t *testing.T) {
 	opts := DefaultOptions()
-	opts.EmbCache = EmbCacheOptions{RowsPerTable: 64, Policy: "arc"}
-	if _, err := NewEngine(opts); err == nil {
-		t.Error("unknown policy accepted")
+	for _, p := range []string{"arc", "direct", "fifo"} {
+		opts.EmbCache = EmbCacheOptions{RowsPerTable: 64, Policy: p}
+		if _, err := NewEngine(opts); err == nil {
+			t.Errorf("unknown policy %q accepted", p)
+		}
 	}
 	opts.EmbCache = EmbCacheOptions{RowsPerTable: -1}
 	if _, err := NewEngine(opts); err == nil {

@@ -72,8 +72,8 @@ type EmbCacheOptions struct {
 	// RowsPerTable is the cache capacity in rows per table, clamped to
 	// the table's row count. 0 disables the cache.
 	RowsPerTable int
-	// Policy selects the eviction policy: "lru" (default), "fifo", or
-	// "clock".
+	// Policy selects the eviction policy, one of embcache.Policies()
+	// ("" selects the lru default).
 	Policy string
 	// Shards overrides the lock-stripe count (0 = derived from
 	// GOMAXPROCS, capped at 16, rounded up to a power of two).

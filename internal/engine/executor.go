@@ -275,10 +275,10 @@ func (e *Engine) process(mq *modelQueue, jobs []*job, samples int, scratch *work
 // forward runs the instrumented model forward pass on the arena-backed
 // hot path, converting panics into ErrInference-wrapped errors. The
 // recover is airtight against intra-op parallelism because every
-// kernel fan-out goes through tensor.ParallelFor / tensor.ShardGroup,
-// which re-raise shard panics on this goroutine. The returned tensor
-// aliases the worker's arena and is valid until the next forward on
-// the same worker — callers copy rows out per job before returning.
+// kernel fan-out goes through tensor.ParallelFor, which re-raises
+// shard panics on this goroutine. The returned tensor aliases the
+// worker's arena and is valid until the next forward on the same
+// worker — callers copy rows out per job before returning.
 // Per-operator spans always land in the queue's kind accumulators;
 // when traced they are additionally captured (with the wall-clock
 // execute time) into the worker's reusable span buffer, returned as

@@ -110,17 +110,6 @@ func (e *EmbeddingTable) accumRow(dst []float32, rowIDs []int) {
 	}
 }
 
-// gatherRange pools output rows [kLo, kHi) into out; idOff is the
-// index into ids of the first ID belonging to row kLo. All inputs must
-// be pre-validated.
-func (e *EmbeddingTable) gatherRange(out *tensor.Tensor, ids, lengths []int, kLo, kHi, idOff int) {
-	cur := idOff
-	for k := kLo; k < kHi; k++ {
-		e.accumRow(out.Row(k), ids[cur:cur+lengths[k]])
-		cur += lengths[k]
-	}
-}
-
 // SparseLengthsSum implements Algorithm 1 of the paper: for each of the
 // K slices described by lengths, gather the rows of the table addressed
 // by the corresponding IDs and sum them element-wise into one output
@@ -132,62 +121,19 @@ func (e *EmbeddingTable) gatherRange(out *tensor.Tensor, ids, lengths []int, kLo
 // len(ids). Every ID must be in [0, Rows). IDs are validated up front so
 // the gather loop itself runs without per-ID checks.
 func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tensor {
+	checkLengths(ids, lengths)
+	e.validateIDs(ids)
 	out := tensor.New(len(lengths), e.Cols)
-	e.SparseLengthsSumInto(out, ids, lengths)
+	cur := 0
+	for k, l := range lengths {
+		e.accumRow(out.Row(k), ids[cur:cur+l])
+		cur += l
+	}
 	return out
 }
 
-// SparseLengthsSumInto pools into out, which must have shape
-// [len(lengths), Cols]; gathered rows are accumulated into whatever out
-// already holds (pass a zeroed — e.g. arena-fresh — tensor for plain
-// pooling).
-func (e *EmbeddingTable) SparseLengthsSumInto(out *tensor.Tensor, ids, lengths []int) {
-	checkLengths(ids, lengths)
-	if out.Rank() != 2 || out.Dim(0) != len(lengths) || out.Dim(1) != e.Cols {
-		panic(fmt.Sprintf("nn: SparseLengthsSumInto output shape %v, want [%d %d]", out.Shape(), len(lengths), e.Cols))
-	}
-	e.validateIDs(ids)
-	e.gatherRange(out, ids, lengths, 0, len(lengths), 0)
-}
-
-// ParallelSLS pools like SparseLengthsSumInto, splitting output rows
-// across workers goroutines (0 = GOMAXPROCS). Each output row is owned
-// by exactly one worker and accumulated in the same ID order as the
-// serial kernel, so results are bit-identical. Small gathers run
-// serially. Shards run under a tensor.ShardGroup (the per-shard ID
-// offsets rule out a plain ParallelFor), so a panicking shard re-raises
-// on the calling goroutine instead of killing the process.
-func (e *EmbeddingTable) ParallelSLS(out *tensor.Tensor, ids, lengths []int, workers int) {
-	checkLengths(ids, lengths)
-	if out.Rank() != 2 || out.Dim(0) != len(lengths) || out.Dim(1) != e.Cols {
-		panic(fmt.Sprintf("nn: ParallelSLS output shape %v, want [%d %d]", out.Shape(), len(lengths), e.Cols))
-	}
-	e.validateIDs(ids)
-	rows := len(lengths)
-	workers = slsWorkers(workers, rows, len(ids)*e.Cols)
-	if workers <= 1 {
-		e.gatherRange(out, ids, lengths, 0, rows, 0)
-		return
-	}
-	var g tensor.ShardGroup
-	chunk := (rows + workers - 1) / workers
-	idOff := 0
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		lo, hi, off := lo, hi, idOff
-		g.Go(func() { e.gatherRange(out, ids, lengths, lo, hi, off) })
-		for k := lo; k < hi; k++ {
-			idOff += lengths[k]
-		}
-	}
-	g.Wait()
-}
-
 // minParallelGather is the gathered-element count (IDs × Cols) below
-// which ParallelSLS runs serially.
+// which the SLSOp gathers run serially.
 const minParallelGather = 1 << 14
 
 func slsWorkers(workers, rows, elems int) int {

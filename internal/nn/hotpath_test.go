@@ -16,23 +16,27 @@ func randIDs(r *stats.RNG, n, rows int) []int {
 	return ids
 }
 
-// TestParallelSLSMatchesSerial checks the row-partitioned gather is
-// bit-identical to the serial kernel across the specialized widths
-// (32, 64) and the generic path, including zero-length slices.
+// TestParallelSLSMatchesSerial checks the row-partitioned SLSOp
+// gather is bit-identical to the serial SparseLengthsSum reference
+// across the specialized widths (32, 64) and the generic path. The
+// batch is sized so every width crosses minParallelGather and takes
+// the ParallelFor branch.
 func TestParallelSLSMatchesSerial(t *testing.T) {
 	rng := stats.NewRNG(31)
 	for _, cols := range []int{32, 64, 40, 1} {
 		table := NewEmbeddingTable("t", 500, cols, rng)
-		lengths := []int{3, 0, 7, 1, 0, 12, 2, 5, 9, 0, 4, 6}
-		total := 0
-		for _, l := range lengths {
-			total += l
+		op := NewSLSOp(table, 12)
+		batch := minParallelGather/(op.Lookups*cols) + 1
+		ids := randIDs(rng, batch*op.Lookups, table.Rows)
+		lengths := make([]int, batch)
+		for i := range lengths {
+			lengths[i] = op.Lookups
 		}
-		ids := randIDs(rng, total, table.Rows)
 		want := table.SparseLengthsSum(ids, lengths)
+		arena := tensor.NewArena()
 		for _, workers := range []int{0, 1, 2, 7} {
-			got := tensor.New(len(lengths), cols)
-			table.ParallelSLS(got, ids, lengths, workers)
+			arena.Reset()
+			got := op.ForwardEx(ids, batch, arena, workers)
 			if !tensor.Equal(got, want, 0) {
 				t.Fatalf("cols %d workers %d: parallel SLS not bit-identical", cols, workers)
 			}

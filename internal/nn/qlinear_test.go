@@ -251,8 +251,8 @@ func TestMLPInt8Stack(t *testing.T) {
 }
 
 // The int8 hot path must be heap-allocation-free in steady state: the
-// quantized activations come from the arena's byte slab, the output
-// from the float slab.
+// quantized activations and zero points come from the arena's int16
+// and int32 slabs, the output from the float slab.
 func TestFCInt8ZeroAlloc(t *testing.T) {
 	rng := stats.NewRNG(61)
 	m := NewMLP("t", []int{64, 128, 32}, true, rng)

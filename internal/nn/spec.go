@@ -24,15 +24,3 @@ func NewEmbeddingTableSpec(label string, rows, cols int) *EmbeddingTable {
 	}
 	return &EmbeddingTable{Rows: rows, Cols: cols, label: label}
 }
-
-// NewMLPSpec returns a shape-only MLP.
-func NewMLPSpec(label string, dims []int, finalReLU bool) *MLP {
-	if len(dims) < 2 {
-		panic(fmt.Sprintf("nn: MLP %q needs at least 2 dims, got %v", label, dims))
-	}
-	m := &MLP{FinalReLU: finalReLU, label: label}
-	for i := 0; i+1 < len(dims); i++ {
-		m.Layers = append(m.Layers, NewFCSpec(fmt.Sprintf("%s/fc%d", label, i), dims[i], dims[i+1]))
-	}
-	return m
-}

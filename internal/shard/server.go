@@ -21,8 +21,8 @@ type ServerOptions struct {
 	// 0 disables). On an int8-backed store the cache amortizes
 	// dequantization exactly as the in-process serving path does.
 	CacheRows int
-	// CachePolicy is the eviction policy (embcache.Policies; default
-	// "lru").
+	// CachePolicy is the eviction policy, one of embcache.Policies()
+	// ("" selects the lru default).
 	CachePolicy string
 }
 
@@ -81,16 +81,12 @@ func NewServer(stores []nn.RowStore, opts ServerOptions) (*Server, error) {
 	if len(stores) == 0 {
 		return nil, errors.New("shard: server needs at least one table store")
 	}
-	policy := opts.CachePolicy
-	if policy == "" {
-		policy = "lru"
-	}
 	s := &Server{conns: make(map[net.Conn]struct{})}
 	for i, st := range stores {
 		t := &serverTable{store: st}
 		t.gen.Store(1)
 		if opts.CacheRows > 0 {
-			c, err := embcache.NewConcurrent(opts.CacheRows, st.Cols(), policy, 0)
+			c, err := embcache.NewConcurrent(opts.CacheRows, st.Cols(), opts.CachePolicy, 0)
 			if err != nil {
 				return nil, fmt.Errorf("shard: table %d cache: %w", i, err)
 			}

@@ -13,13 +13,7 @@ package tensor
 // and become invalid at the next Reset — copy anything that must
 // outlive the pass.
 type Arena struct {
-	slab []float32
-	off  int
-	// total counts floats handed out since the last Reset. When a pass
-	// outgrows the slab, Reset uses it to allocate one right-sized
-	// slab, so a fixed per-pass working set reaches zero allocations
-	// by the second pass.
-	total int
+	f32 slab[float32]
 
 	// tensors caches the *Tensor headers (and their shape slices)
 	// handed out since the last Reset, reused in order on the next
@@ -29,55 +23,56 @@ type Arena struct {
 
 	ptrs []*Tensor // scratch for Ptrs
 
-	// u8slab is a separate byte slab for integer scratch (the int8
-	// compute path's quantized activations), bump-allocated like the
-	// float slab so the int8 hot path also reaches zero steady-state
-	// allocations.
-	u8slab  []uint8
-	u8off   int
-	u8total int
+	// i16/i32: integer scratch for the register-tiled int8 GEMM
+	// (widened activation codes and per-row zero points), so the int8
+	// hot path also reaches zero steady-state allocations.
+	i16 slab[int16]
+	i32 slab[int32]
+}
 
-	// i16slab/i32slab: integer scratch for the register-tiled int8 GEMM
-	// (widened activation codes and per-row zero points), following the
-	// same bump-and-right-size discipline as u8slab.
-	i16slab  []int16
-	i16off   int
-	i16total int
-	i32slab  []int32
-	i32off   int
-	i32total int
+// slab is one bump-allocated backing array of the arena.
+type slab[T any] struct {
+	buf []T
+	off int
+	// total counts elements handed out since the last reset. When a
+	// pass outgrows buf, reset uses it to allocate one right-sized
+	// array, so a fixed per-pass working set reaches zero allocations
+	// by the second pass.
+	total int
+}
+
+// alloc carves n elements without clearing them. When buf is
+// exhausted a larger one is allocated; slices handed out earlier keep
+// referencing the old array, so they stay valid for the remainder of
+// the pass.
+func (s *slab[T]) alloc(n int) []T {
+	s.total += n
+	if s.off+n > len(s.buf) {
+		s.buf = make([]T, max(2*len(s.buf), s.total, 1024))
+		s.off = 0
+	}
+	d := s.buf[s.off : s.off+n : s.off+n]
+	s.off += n
+	return d
+}
+
+// reset recycles the slab, first growing buf to the finished pass's
+// total if it did not fit.
+func (s *slab[T]) reset() {
+	if s.total > len(s.buf) {
+		s.buf = make([]T, s.total)
+	}
+	s.off, s.total = 0, 0
 }
 
 // NewArena returns an empty arena; the slab grows on demand.
 func NewArena() *Arena { return &Arena{} }
 
 // Alloc returns a zero-filled tensor carved from the arena. Shape
-// rules match New. The shape check is inlined with constant-string
-// panics (rather than checkShape's formatted ones) so the variadic
-// slice never escapes — Alloc must stay heap-allocation-free on the
-// steady-state path.
+// rules match New.
 func (a *Arena) Alloc(shape ...int) *Tensor {
-	if len(shape) == 0 {
-		panic("tensor: empty shape")
-	}
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in shape")
-		}
-		n *= d
-	}
-	data := a.alloc(n)
-	var t *Tensor
-	if a.used < len(a.tensors) {
-		t = a.tensors[a.used]
-	} else {
-		t = &Tensor{}
-		a.tensors = append(a.tensors, t)
-	}
-	a.used++
-	t.shape = append(t.shape[:0], shape...)
-	t.data = data
+	t := a.AllocUninit(shape...)
+	clear(t.data)
 	return t
 }
 
@@ -86,7 +81,10 @@ func (a *Arena) Alloc(shape ...int) *Tensor {
 // scratch that is fully overwritten before any element is read (e.g.
 // the gather staging buffer, where every row is materialized before
 // accumulation) — the memclr is pure overhead there and measurably so
-// on the SLS hot path.
+// on the SLS hot path. The shape check is inlined with constant-string
+// panics (rather than checkShape's formatted ones) so the variadic
+// slice never escapes — both Alloc variants must stay
+// heap-allocation-free on the steady-state path.
 func (a *Arena) AllocUninit(shape ...int) *Tensor {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -98,7 +96,7 @@ func (a *Arena) AllocUninit(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	data := a.allocRaw(n)
+	data := a.f32.alloc(n)
 	var t *Tensor
 	if a.used < len(a.tensors) {
 		t = a.tensors[a.used]
@@ -112,101 +110,17 @@ func (a *Arena) AllocUninit(shape ...int) *Tensor {
 	return t
 }
 
-// alloc carves n zeroed float32s.
-func (a *Arena) alloc(n int) []float32 {
-	d := a.allocRaw(n)
-	clear(d)
-	return d
-}
-
-// allocRaw carves n float32s without clearing them. When the slab is
-// exhausted a larger one is allocated; tensors handed out earlier keep
-// referencing the old slab, so they stay valid for the remainder of
-// the pass.
-func (a *Arena) allocRaw(n int) []float32 {
-	a.total += n
-	if a.off+n > len(a.slab) {
-		size := 2 * len(a.slab)
-		if size < a.total {
-			size = a.total
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		a.slab = make([]float32, size)
-		a.off = 0
-	}
-	d := a.slab[a.off : a.off+n : a.off+n]
-	a.off += n
-	return d
-}
-
-// AllocU8 carves n uninitialized bytes from the arena's byte slab.
-// Like AllocUninit, the contents are whatever a previous pass left
-// behind — only for scratch fully overwritten before any read (the
-// int8 activation buffer is written row by row before each dot). The
+// AllocI16 carves n uninitialized int16s — the widened
+// activation-code buffer of the register-tiled int8 GEMM (VPMADDWD
+// consumes i16 lanes, so codes are stored pre-widened). Like
+// AllocUninit, the contents are whatever a previous pass left behind,
+// so it is only for scratch fully overwritten before any read; the
 // slice is invalidated by Reset.
-func (a *Arena) AllocU8(n int) []uint8 {
-	a.u8total += n
-	if a.u8off+n > len(a.u8slab) {
-		size := 2 * len(a.u8slab)
-		if size < a.u8total {
-			size = a.u8total
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		a.u8slab = make([]uint8, size)
-		a.u8off = 0
-	}
-	d := a.u8slab[a.u8off : a.u8off+n : a.u8off+n]
-	a.u8off += n
-	return d
-}
+func (a *Arena) AllocI16(n int) []int16 { return a.i16.alloc(n) }
 
-// AllocI16 carves n uninitialized int16s from the arena's i16 slab —
-// the widened activation-code buffer of the register-tiled int8 GEMM
-// (VPMADDWD consumes i16 lanes, so codes are stored pre-widened). Same
-// contract as AllocU8: contents are stale until overwritten, and the
-// slice is invalidated by Reset.
-func (a *Arena) AllocI16(n int) []int16 {
-	a.i16total += n
-	if a.i16off+n > len(a.i16slab) {
-		size := 2 * len(a.i16slab)
-		if size < a.i16total {
-			size = a.i16total
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		a.i16slab = make([]int16, size)
-		a.i16off = 0
-	}
-	d := a.i16slab[a.i16off : a.i16off+n : a.i16off+n]
-	a.i16off += n
-	return d
-}
-
-// AllocI32 carves n uninitialized int32s from the arena's i32 slab —
-// per-row zero points for the int8 GEMM epilogue. Same contract as
-// AllocU8.
-func (a *Arena) AllocI32(n int) []int32 {
-	a.i32total += n
-	if a.i32off+n > len(a.i32slab) {
-		size := 2 * len(a.i32slab)
-		if size < a.i32total {
-			size = a.i32total
-		}
-		if size < 256 {
-			size = 256
-		}
-		a.i32slab = make([]int32, size)
-		a.i32off = 0
-	}
-	d := a.i32slab[a.i32off : a.i32off+n : a.i32off+n]
-	a.i32off += n
-	return d
-}
+// AllocI32 carves n uninitialized int32s — per-row zero points for the
+// int8 GEMM epilogue. Same contract as AllocI16.
+func (a *Arena) AllocI32(n int) []int32 { return a.i32.alloc(n) }
 
 // Ptrs returns a reusable []*Tensor of length n with nil entries,
 // for operator-input scratch (e.g. the Concat input list). The slice
@@ -224,32 +138,11 @@ func (a *Arena) Ptrs(n int) []*Tensor {
 
 // Reset recycles the arena for the next pass. All tensors previously
 // returned by Alloc are invalidated: their storage and headers will
-// be handed out again. If the finished pass outgrew the slab, one
+// be handed out again. If the finished pass outgrew a slab, one
 // right-sized slab is allocated now so the next identical pass fits.
 func (a *Arena) Reset() {
-	if a.total > len(a.slab) {
-		a.slab = make([]float32, a.total)
-	}
-	if a.u8total > len(a.u8slab) {
-		a.u8slab = make([]uint8, a.u8total)
-	}
-	if a.i16total > len(a.i16slab) {
-		a.i16slab = make([]int16, a.i16total)
-	}
-	if a.i32total > len(a.i32slab) {
-		a.i32slab = make([]int32, a.i32total)
-	}
-	a.off = 0
-	a.total = 0
+	a.f32.reset()
+	a.i16.reset()
+	a.i32.reset()
 	a.used = 0
-	a.u8off = 0
-	a.u8total = 0
-	a.i16off = 0
-	a.i16total = 0
-	a.i32off = 0
-	a.i32total = 0
 }
-
-// Cap returns the slab capacity in float32 elements (for tests and
-// capacity accounting).
-func (a *Arena) Cap() int { return len(a.slab) }

@@ -100,6 +100,45 @@ func TestParallelGemmPackedMultiBlock(t *testing.T) {
 	}
 }
 
+func TestParallelGemmAccumulates(t *testing.T) {
+	r := stats.NewRNG(13)
+	a := randTensor(r, 256, 64)
+	pb := PackB(randTensor(r, 64, 64))
+	got := randTensor(r, 256, 64)
+	want := got.Clone()
+	GemmPacked(a, pb, want)
+	ParallelGemmPacked(a, pb, got, 4)
+	if !Equal(got, want, 0) {
+		t.Fatal("parallel accumulation differs from serial")
+	}
+}
+
+func TestParallelGemmPanicsOnShapes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	b := randTensor(stats.NewRNG(1), 2, 5)
+	ParallelGemmPacked(New(4, 3), PackB(b), New(4, 5), 2)
+}
+
+// TestParallelGemmShardPanicRecoverable: a panic raised inside the
+// row-partitioned GEMM fan-out (injected via a packed B whose backing
+// array is shorter than its K×N header claims, so every shard's panel
+// slice fails before any kernel runs) is observable with a plain
+// recover on the calling goroutine.
+func TestParallelGemmShardPanicRecoverable(t *testing.T) {
+	const m, k, n = 64, 64, 64 // above minParallelMAdds, so fan-out engages
+	pb := &PackedB{K: k, N: n, data: make([]float32, (k-1)*n)}
+	defer func() {
+		if recover() == nil {
+			t.Error("undersized packed B should have panicked recoverably")
+		}
+	}()
+	ParallelGemmPacked(New(m, k), pb, New(m, n), 4)
+}
+
 func TestGemmPackedAccumulates(t *testing.T) {
 	r := stats.NewRNG(23)
 	a := randTensor(r, 70, 65)

@@ -6,27 +6,27 @@ import "sync"
 // goroutines other than the caller's, and a panic on a bare goroutine
 // kills the whole process — no enclosing recover, anywhere, can catch
 // it. In a co-located serving engine that turns one bad shard into an
-// outage for every model on the host. ShardGroup and ParallelFor are
-// the only sanctioned way to fan work out inside a kernel: each shard
+// outage for every model on the host. ParallelFor is the only
+// sanctioned way to fan work out inside a kernel: each shard
 // runs under its own recover, the first captured panic is re-raised on
 // the *calling* goroutine after every shard has finished, and callers
 // therefore observe exactly the serial kernel's panic behaviour — which
 // the engine's per-request recover can convert into an error.
 
-// ShardGroup runs kernel shards as goroutines while confining their
-// panics: Go wraps each shard in a recover, and Wait re-panics the
-// first captured panic value on the waiting goroutine once all shards
-// are done. The zero value is ready to use; a group must not be reused
-// after Wait.
-type ShardGroup struct {
+// shardGroup runs ParallelFor's chunks as goroutines while confining
+// their panics: run wraps each shard in a recover, and wait re-panics
+// the first captured panic value on the waiting goroutine once all
+// shards are done. The zero value is ready to use; a group must not be
+// reused after wait.
+type shardGroup struct {
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	pval any  // first captured panic value
 	pset bool // distinguishes panic(nil)-adjacent values from "no panic"
 }
 
-// Go runs fn as one shard.
-func (g *ShardGroup) Go(fn func()) {
+// run starts fn as one shard.
+func (g *shardGroup) run(fn func()) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -43,9 +43,9 @@ func (g *ShardGroup) Go(fn func()) {
 	}()
 }
 
-// Wait blocks until every shard launched with Go has returned, then
+// wait blocks until every shard started with run has returned, then
 // re-panics the first captured shard panic, if any, on the caller.
-func (g *ShardGroup) Wait() {
+func (g *shardGroup) wait() {
 	g.wg.Wait()
 	// No lock needed: wg.Wait orders all shard writes before this read.
 	if g.pset {
@@ -71,11 +71,11 @@ func ParallelFor(n, workers int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	var g ShardGroup
+	var g shardGroup
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
 		lo, hi := lo, min(lo+chunk, n)
-		g.Go(func() { body(lo, hi) })
+		g.run(func() { body(lo, hi) })
 	}
-	g.Wait()
+	g.wait()
 }

@@ -24,11 +24,6 @@ import (
 // second, at absolute time t (microseconds since the run started).
 type RateFunc func(tUS float64) float64
 
-// ConstantRate is the homogeneous process: rate(t) = qps.
-func ConstantRate(qps float64) RateFunc {
-	return func(float64) float64 { return qps }
-}
-
 // FlashCrowd steps the rate from qps to mult×qps at time `at` and
 // holds it there — the "traffic spike lands and stays" profile the
 // QPS-at-SLA experiment uses.
