@@ -34,14 +34,16 @@ lint: vet
 
 # The hot-path packages carry the bit-identity and zero-alloc
 # contracts; run them under the race detector too (nn holds the
-# ParallelFor-based SLS gather fan-out, embcache the lock-striped
-# hot-row cache consulted by every planned gather, shard the
-# hedged-fan-out client and loopback servers of the remote tier,
-# sched/adapt the control loop that flips live batch policies under
-# traffic, online the background train→quantize→swap updater, and
-# scenario the chaos harness that storms swaps against live load).
+# ParallelFor-based SLS gather fan-out, model the single forward pass
+# that keeps asynchronous gathers in flight across the Bottom-MLP,
+# embcache the lock-striped hot-row cache consulted by every planned
+# gather, shard the hedged-fan-out client and loopback servers of the
+# remote tier, sched/adapt the control loop that flips live batch
+# policies under traffic, online the background train→quantize→swap
+# updater, and scenario the chaos harness that storms swaps against
+# live load).
 race:
-	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario
+	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/model ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario
 
 # Tier-1 verify recipe (see ROADMAP.md).
 verify: fmt-check build test lint race

@@ -374,7 +374,6 @@ type slsGatherBench struct {
 	cacheRows int     // hot-row cache capacity (0 = no cache)
 	policy    string  // eviction policy for the cached variants
 	int8Table bool    // row-wise int8 table instead of fp32
-	naive     bool    // ForwardNaiveEx: plan-free per-occurrence reference
 }
 
 func benchmarkSLSGather(b *testing.B, cfg slsGatherBench) {
@@ -401,10 +400,6 @@ func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
 	} else {
 		gen = trace.NewZipfian(table.Rows, cfg.s, rng.Split())
 	}
-	forward := op.ForwardEx
-	if cfg.naive {
-		forward = op.ForwardNaiveEx
-	}
 	batch := cfg.batch
 	if batch == 0 {
 		batch = 64
@@ -425,14 +420,14 @@ func benchmarkSLSGatherAt(b *testing.B, rows int, cfg slsGatherBench) {
 	arena := tensor.NewArena()
 	for i := 0; i < nSets; i++ { // warm: slab, plan pool, cache
 		arena.Reset()
-		forward(sets[i], batch, arena, 1)
+		op.ForwardEx(sets[i], batch, arena, 1)
 	}
 	arena.Reset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		forward(sets[i%nSets], batch, arena, 1)
+		op.ForwardEx(sets[i%nSets], batch, arena, 1)
 	}
 	b.StopTimer()
 	if c, ok := op.RowCacheRef().(*embcache.Concurrent); ok {
@@ -504,22 +499,19 @@ func BenchmarkSLSGatherUniform(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{cacheRows: 5000, policy: "clock"})
 }
 
-// The int8 trio isolates dequantization amortization: the naive path
-// dequantizes every occurrence, the planned path every unique row of
-// the batch, the cached path only the misses.
+// The int8 pair isolates dequantization amortization: the planned
+// path dequantizes every unique row of the batch, the cached path only
+// the misses.
 func BenchmarkSLSGatherZipfInt8(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, cacheRows: 5000, policy: "clock", int8Table: true})
 }
 func BenchmarkSLSGatherZipfInt8NoCache(b *testing.B) {
 	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true})
 }
-func BenchmarkSLSGatherZipfInt8Naive(b *testing.B) {
-	benchmarkSLSGather(b, slsGatherBench{s: 1.1, int8Table: true, naive: true})
-}
 
-// The 1M-row trio is the EXPERIMENTS.md headline: at 64 MB the fp32
-// table is far beyond the LLC, every naive gather is a DRAM miss plus
-// a dequantization, and the 5% cache (50k rows, clock + lazy
+// The 1M-row pair is the EXPERIMENTS.md headline: at 64 MB the fp32
+// table is far beyond the LLC, every uncached unique row is a DRAM
+// miss plus a dequantization, and the 5% cache (50k rows, clock + lazy
 // admission) holds the Zipf head at ~88% hits — the regime the paper's
 // Figure 14 locality argument (and RecNMP's hot-row memoization)
 // describes.
@@ -528,9 +520,6 @@ func BenchmarkSLSGatherBigInt8(b *testing.B) {
 }
 func BenchmarkSLSGatherBigInt8NoCache(b *testing.B) {
 	benchmarkSLSGatherAt(b, 1_000_000, slsGatherBench{s: 1.1, int8Table: true})
-}
-func BenchmarkSLSGatherBigInt8Naive(b *testing.B) {
-	benchmarkSLSGatherAt(b, 1_000_000, slsGatherBench{s: 1.1, int8Table: true, naive: true})
 }
 
 // benchmarkFCRM times the acceptance-shape FC layer (batch 256,

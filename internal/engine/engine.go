@@ -10,7 +10,7 @@
 //   - a shared executor worker pool that drains every queue with a
 //     weighted-fair pick (executor.go);
 //   - an instrumented forward pass whose per-operator spans feed
-//     per-model serving stats (stats.go, model.ForwardSpans).
+//     per-model serving stats (stats.go, model.ForwardDeadline).
 //
 // Results are bit-identical to unbatched direct execution because the
 // forward pass is row-independent. The single-model Server below is a

@@ -24,7 +24,7 @@ import (
 // dispatch carries a traced request the spans are additionally
 // captured into a reusable buffer for the request traces. One tap per
 // worker goroutine, so retargeting it per dispatch needs no locking
-// and the interface value passed to ForwardSpans never allocates.
+// and the interface value passed to ForwardDeadline never allocates.
 type spanTap struct {
 	counters *counters
 	capture  bool

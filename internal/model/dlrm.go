@@ -147,29 +147,56 @@ type SpanObserver interface {
 // The returned tensor aliases the arena; copy what must outlive the
 // next Reset.
 func (m *Model) ForwardEx(req Request, a *tensor.Arena, workers int) *tensor.Tensor {
-	return m.ForwardSpans(req, a, workers, nil)
+	return m.ForwardDeadline(req, a, workers, nil, time.Time{})
 }
 
-// ForwardSpans is ForwardEx with per-operator instrumentation: when
-// obs is non-nil, every stage (bottom MLP, each SLS, concat,
+// maxStackSLS is the table count up to which a forward pass keeps its
+// per-op gather state on the stack (every preset fits; RMC2-large has
+// 40 tables). Larger custom models heap-allocate it once per pass.
+const maxStackSLS = 64
+
+// slsPass is one SLS op's state across a forward pass: the gather
+// begun before the Bottom-MLP, and the time Begin took.
+type slsPass struct {
+	fwd   nn.SLSForward
+	begin time.Duration
+}
+
+// ForwardDeadline is ForwardEx with per-operator instrumentation and a
+// deadline that bounds remote embedding gathers (zero means the shard
+// client's request timeout applies). The pass begins every SLS gather,
+// runs the Bottom-MLP, then finishes each gather: with a sharded
+// embedding tier (a GatherSource) the rows are in flight while the
+// Bottom-MLP runs — the overlap internal/dist's Estimate prices as
+// max(Bottom, Shard+Net) + Top — and with local tables Begin does the
+// gather work itself.
+//
+// When obs is non-nil every stage (bottom MLP, each SLS, concat,
 // interaction, top MLP, sigmoid) emits one span — the live analogue of
-// the paper's Caffe2 operator breakdowns (Figure 7). A nil obs skips
-// all clock reads, so ForwardEx pays nothing for the hooks.
-func (m *Model) ForwardSpans(req Request, a *tensor.Arena, workers int, obs SpanObserver) *tensor.Tensor {
-	return m.ForwardDeadline(req, a, workers, obs, time.Time{})
-}
-
-// ForwardDeadline is ForwardSpans with a deadline that bounds remote
-// embedding gathers (zero means the shard client's request timeout
-// applies). When any SLS op reads from an asynchronous GatherSource —
-// a sharded embedding tier — the pass dispatches every gather first
-// and runs the Bottom-MLP while the rows are in flight, the overlap
-// internal/dist's Estimate prices as max(Bottom, Shard+Net) + Top.
-// With only local tables it is the ordinary serial hot path and the
-// deadline is unused.
+// the paper's Caffe2 operator breakdowns (Figure 7); an SLS span is
+// its Begin plus its Finish time. A nil obs skips all clock reads, so
+// ForwardEx pays nothing for the hooks.
 func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs SpanObserver, deadline time.Time) *tensor.Tensor {
 	if len(req.SparseIDs) != len(m.SLS) {
 		panic(fmt.Sprintf("model: %s expects %d sparse inputs, got %d", m.Config.Name, len(m.SLS), len(req.SparseIDs)))
+	}
+	if m.Bottom != nil && req.Dense == nil {
+		panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
+	}
+	var stack [maxStackSLS]slsPass
+	sls := stack[:]
+	if len(m.SLS) > len(stack) {
+		sls = make([]slsPass, len(m.SLS))
+	}
+	var t0 time.Time
+	for t, op := range m.SLS {
+		if obs != nil {
+			t0 = time.Now()
+		}
+		op.Begin(&sls[t].fwd, req.SparseIDs[t], req.Batch, a, workers, deadline)
+		if obs != nil {
+			sls[t].begin = time.Since(t0)
+		}
 	}
 	n := len(m.SLS)
 	if m.Bottom != nil {
@@ -181,15 +208,8 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 	} else {
 		parts = make([]*tensor.Tensor, n)
 	}
-	if m.asyncSLS() {
-		return m.forwardOverlapped(req, a, workers, obs, deadline, parts)
-	}
-	var t0 time.Time
 	i := 0
 	if m.Bottom != nil {
-		if req.Dense == nil {
-			panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
-		}
 		if obs != nil {
 			t0 = time.Now()
 		}
@@ -203,74 +223,17 @@ func (m *Model) ForwardDeadline(req Request, a *tensor.Arena, workers int, obs S
 		if obs != nil {
 			t0 = time.Now()
 		}
-		parts[i] = op.ForwardEx(req.SparseIDs[t], req.Batch, a, workers)
+		parts[i] = sls[t].fwd.Finish()
 		if obs != nil {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
+			obs.OpSpan(op.Name(), nn.KindSLS, sls[t].begin+time.Since(t0))
 		}
 		i++
 	}
 	return m.forwardTail(parts, a, workers, obs)
 }
 
-// asyncSLS reports whether any SLS op gathers through an asynchronous
-// GatherSource (a remote embedding tier).
-func (m *Model) asyncSLS() bool {
-	for _, op := range m.SLS {
-		if op.Async() {
-			return true
-		}
-	}
-	return false
-}
-
-// forwardOverlapped is the remote-tier forward pass: every SLS gather
-// is dispatched before the Bottom-MLP runs, so the network fetch and
-// the dense compute overlap; Finish then waits, completes the hot-row
-// cache protocol, and pools into the same arena buffers the local path
-// uses. Per-op spans split into a dispatch span and a finish span
-// (same op name — observers sum them). This path has no
-// zero-allocation contract; the local fast path never enters it.
-func (m *Model) forwardOverlapped(req Request, a *tensor.Arena, workers int, obs SpanObserver, deadline time.Time, parts []*tensor.Tensor) *tensor.Tensor {
-	fwds := make([]nn.SLSForward, len(m.SLS))
-	var t0 time.Time
-	for t, op := range m.SLS {
-		if obs != nil {
-			t0 = time.Now()
-		}
-		op.Begin(&fwds[t], req.SparseIDs[t], req.Batch, a, workers, deadline)
-		if obs != nil {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
-		}
-	}
-	i := 0
-	if m.Bottom != nil {
-		if req.Dense == nil {
-			panic(fmt.Sprintf("model: %s requires dense features", m.Config.Name))
-		}
-		if obs != nil {
-			t0 = time.Now()
-		}
-		parts[i] = m.Bottom.ForwardEx(req.Dense, a, workers)
-		if obs != nil {
-			obs.OpSpan(m.Bottom.Name(), nn.KindFC, time.Since(t0))
-		}
-		i++
-	}
-	for t, op := range m.SLS {
-		if obs != nil {
-			t0 = time.Now()
-		}
-		parts[i] = fwds[t].Finish()
-		if obs != nil {
-			obs.OpSpan(op.Name(), nn.KindSLS, time.Since(t0))
-		}
-		i++
-	}
-	return m.forwardTail(parts, a, workers, obs)
-}
-
-// forwardTail runs the dense back half shared by every forward path:
-// concat, optional dot interaction, Top-MLP, sigmoid.
+// forwardTail runs the dense back half of the forward pass: concat,
+// optional dot interaction, Top-MLP, sigmoid.
 func (m *Model) forwardTail(parts []*tensor.Tensor, a *tensor.Arena, workers int, obs SpanObserver) *tensor.Tensor {
 	var t0 time.Time
 	if obs != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"recsys/internal/embcache"
 	"recsys/internal/nn"
 	"recsys/internal/stats"
 	"recsys/internal/tensor"
@@ -94,7 +95,7 @@ func TestAppendCTRMatchesCTR(t *testing.T) {
 	}
 }
 
-// spanRecord collects ForwardSpans emissions for inspection.
+// spanRecord collects ForwardDeadline span emissions for inspection.
 type spanRecord struct {
 	names []string
 	kinds []nn.Kind
@@ -107,9 +108,34 @@ func (r *spanRecord) OpSpan(name string, kind nn.Kind, d time.Duration) {
 	r.total += d
 }
 
+// asyncSource is a GatherSource over an op's local tables that fetches
+// each miss list on its own goroutine, so the forward pass runs with
+// rows in flight exactly as it does against a remote shard tier.
+type asyncSource struct{ nn.RowStore }
+
+func (s asyncSource) BeginGather(ids []int64, dstRows []int32, dst *tensor.Tensor, _ time.Time) nn.PendingGather {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, id := range ids {
+			s.ReadRow(id, dst.Row(int(dstRows[i])))
+		}
+	}()
+	return pendingGather(done)
+}
+
+type pendingGather chan struct{}
+
+func (p pendingGather) Wait() (bool, error) {
+	<-p
+	return false, nil
+}
+
 // TestForwardSpansEmitsEveryStage: the instrumented pass reports one
 // span per operator in execution order and stays bit-identical to the
-// uninstrumented hot path.
+// uninstrumented hot path — also when every SLS op gathers through an
+// asynchronous GatherSource (with a row cache on alternate tables), so
+// a remote gather still costs exactly one span per op.
 func TestForwardSpansEmitsEveryStage(t *testing.T) {
 	for _, cfg := range []Config{
 		RMC1Small().Scaled(50),  // dot interaction
@@ -122,11 +148,7 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 		}
 		req := NewRandomRequest(cfg, 6, stats.NewRNG(2))
 		want := m.Forward(req)
-		var rec spanRecord
-		got := m.ForwardSpans(req, tensor.NewArena(), 2, &rec)
-		if !tensor.GemmClose(got, want, 512) {
-			t.Errorf("%s: instrumented pass deviates from reference", cfg.Name)
-		}
+		local := m.ForwardEx(req, nil, 2)
 		wantSpans := len(cfg.Tables) + 3 // SLS each + concat + top + sigmoid
 		if cfg.DenseIn > 0 {
 			wantSpans++ // bottom MLP
@@ -134,15 +156,47 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 		if cfg.Interaction == Dot {
 			wantSpans++ // feature interaction
 		}
-		if len(rec.names) != wantSpans {
-			t.Errorf("%s: %d spans, want %d (%v)", cfg.Name, len(rec.names), wantSpans, rec.names)
+		check := func(path string) {
+			var rec spanRecord
+			got := m.ForwardDeadline(req, tensor.NewArena(), 2, &rec, time.Time{})
+			if !tensor.GemmClose(got, want, 512) {
+				t.Errorf("%s %s: instrumented pass deviates from reference", cfg.Name, path)
+			}
+			if !tensor.Equal(got, local, 0) {
+				t.Errorf("%s %s: instrumented pass not bit-identical to the local hot path", cfg.Name, path)
+			}
+			if len(rec.names) != wantSpans {
+				t.Errorf("%s %s: %d spans, want %d (%v)", cfg.Name, path, len(rec.names), wantSpans, rec.names)
+			}
+			sls := 0
+			for _, k := range rec.kinds {
+				if k == nn.KindSLS {
+					sls++
+				}
+			}
+			if sls != len(cfg.Tables) {
+				t.Errorf("%s %s: %d SLS spans, want one per table (%d)", cfg.Name, path, sls, len(cfg.Tables))
+			}
+			if rec.total <= 0 {
+				t.Errorf("%s %s: zero total span time", cfg.Name, path)
+			}
+			if last := rec.kinds[len(rec.kinds)-1]; last != nn.KindActivation {
+				t.Errorf("%s %s: final span kind %v, want activation", cfg.Name, path, last)
+			}
 		}
-		if rec.total <= 0 {
-			t.Errorf("%s: zero total span time", cfg.Name)
+		check("local")
+		for i, op := range m.SLS {
+			op.SetRowStore(asyncSource{op.LocalStore()})
+			if i%2 == 0 {
+				cache, err := embcache.NewConcurrent(16, op.Table.Cols, "lru", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op.SetRowCache(cache)
+			}
 		}
-		if last := rec.kinds[len(rec.kinds)-1]; last != nn.KindActivation {
-			t.Errorf("%s: final span kind %v, want activation", cfg.Name, last)
-		}
+		check("remote cold")
+		check("remote warm")
 	}
 }
 
@@ -156,12 +210,12 @@ func TestForwardSpansNilObserverZeroAllocs(t *testing.T) {
 	}
 	req := NewRandomRequest(cfg, 16, stats.NewRNG(2))
 	arena := tensor.NewArena()
-	m.ForwardSpans(req, arena, 1, nil)
+	m.ForwardDeadline(req, arena, 1, nil, time.Time{})
 	allocs := testing.AllocsPerRun(50, func() {
 		arena.Reset()
-		m.ForwardSpans(req, arena, 1, nil)
+		m.ForwardDeadline(req, arena, 1, nil, time.Time{})
 	})
 	if allocs != 0 {
-		t.Fatalf("nil-observer ForwardSpans allocates %v times per pass, want 0", allocs)
+		t.Fatalf("nil-observer ForwardDeadline allocates %v times per pass, want 0", allocs)
 	}
 }

@@ -66,47 +66,56 @@ func checkLengths(ids, lengths []int) {
 	}
 }
 
-// accumRow sums the addressed table rows into dst (len Cols). IDs must
-// already be validated; the loop carries no per-ID range check. On the
-// AVX2 kernel tier each row add runs through tensor.AddF32 (8 lanes per
-// step, bit-identical to the scalar loop) — the SIMD batching the paper
-// leans on for SLS (§V). On the pure-Go tier the common production
-// widths 32 and 64 (Table I) take fixed-size array paths so the
-// compiler drops bounds checks in the element loop.
-func (e *EmbeddingTable) accumRow(dst []float32, rowIDs []int) {
-	w := e.W.Data()
+// accumRows sums rows idx of src (a row-major [*, cols] buffer) into
+// dst (len cols) — the one row-accumulate kernel behind every fp32
+// pooled sum: idx is table row IDs on the direct gather and staging
+// rows on the planned one. Indices must already be validated; the loop
+// carries no per-index range check. On the AVX2 kernel tier each row
+// add runs through tensor.AddF32 (8 lanes per step, bit-identical to
+// the scalar loop) — the SIMD batching the paper leans on for SLS
+// (§V). On the pure-Go tier the common production widths 32 and 64
+// (Table I) take fixed-size array paths so the compiler drops bounds
+// checks in the element loop.
+func accumRows[I int | int32](dst, src []float32, cols int, idx []I) {
 	if tensor.SIMDActive() {
-		cols := e.Cols
-		for _, id := range rowIDs {
-			tensor.AddF32(dst, w[id*cols:id*cols+cols])
+		for _, i := range idx {
+			tensor.AddF32(dst, src[int(i)*cols:int(i)*cols+cols])
 		}
 		return
 	}
-	switch e.Cols {
+	switch cols {
 	case 32:
 		d := (*[32]float32)(dst)
-		for _, id := range rowIDs {
-			src := (*[32]float32)(w[id*32:])
-			for i := range d {
-				d[i] += src[i]
+		for _, i := range idx {
+			r := (*[32]float32)(src[int(i)*32:])
+			for j := range d {
+				d[j] += r[j]
 			}
 		}
 	case 64:
 		d := (*[64]float32)(dst)
-		for _, id := range rowIDs {
-			src := (*[64]float32)(w[id*64:])
-			for i := range d {
-				d[i] += src[i]
+		for _, i := range idx {
+			r := (*[64]float32)(src[int(i)*64:])
+			for j := range d {
+				d[j] += r[j]
 			}
 		}
 	default:
-		cols := e.Cols
-		for _, id := range rowIDs {
-			src := w[id*cols : id*cols+cols]
-			for i, v := range src {
-				dst[i] += v
+		for _, i := range idx {
+			for j, v := range src[int(i)*cols : int(i)*cols+cols] {
+				dst[j] += v
 			}
 		}
+	}
+}
+
+// poolUniform pools output rows [kLo, kHi) of out, l indices per row,
+// in original per-sample order — so every SLSOp path accumulates each
+// output row in the same order and stays bit-identical.
+func poolUniform[I int | int32](out *tensor.Tensor, src []float32, idx []I, l, kLo, kHi int) {
+	cols := out.Dim(1)
+	for k := kLo; k < kHi; k++ {
+		accumRows(out.Row(k), src, cols, idx[k*l:(k+1)*l])
 	}
 }
 
@@ -126,7 +135,7 @@ func (e *EmbeddingTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tens
 	out := tensor.New(len(lengths), e.Cols)
 	cur := 0
 	for k, l := range lengths {
-		e.accumRow(out.Row(k), ids[cur:cur+l])
+		accumRows(out.Row(k), e.W.Data(), e.Cols, ids[cur:cur+l])
 		cur += l
 	}
 	return out
@@ -149,32 +158,12 @@ func slsWorkers(workers, rows, elems int) int {
 	return workers
 }
 
-// SparseLengthsMean pools like SparseLengthsSum but averages the
-// gathered rows (Caffe2's SparseLengthsMean; DLRM supports both).
-// Zero-length slices yield zero vectors.
-func (e *EmbeddingTable) SparseLengthsMean(ids []int, lengths []int) *tensor.Tensor {
-	out := e.SparseLengthsSum(ids, lengths)
-	for k, l := range lengths {
-		if l == 0 {
-			continue
-		}
-		inv := 1 / float32(l)
-		row := out.Row(k)
-		for i := range row {
-			row[i] *= inv
-		}
-	}
-	return out
-}
-
 // SLSOp is one embedding-table lookup-and-pool operator inside a model:
 // a table plus the number of sparse IDs gathered per sample
 // ("# lookups" in Table I).
 type SLSOp struct {
 	Table   *EmbeddingTable
 	Lookups int // sparse IDs pooled per sample
-	// Mean selects average pooling (SparseLengthsMean) instead of sum.
-	Mean bool
 	// Quant, when non-nil, redirects the serving gather to the int8
 	// row-wise representation (dequantized at most once per unique row
 	// by the planned gather). Table remains the fp32 source of truth —
@@ -232,50 +221,17 @@ func (s *SLSOp) ForwardTrain(ids []int, batch int) *tensor.Tensor {
 	return s.forwardDirect(ids, batch, nil, 1)
 }
 
-// ForwardNaiveEx is the plan-free reference path with arena-backed
-// scratch: fp32 tables gather per occurrence, int8 tables dequantize
-// per occurrence, and the row cache is never consulted. It exists so
-// benchmarks can measure the naive path on the same footing (zero
-// steady-state allocations) as the planned gather it is compared
-// against.
-func (s *SLSOp) ForwardNaiveEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	if s.Quant != nil {
-		return s.forwardQuantNaive(ids, batch, a)
-	}
-	return s.forwardDirect(ids, batch, a, workers)
-}
-
 // ForwardEx is Forward with an optional scratch arena for the output
-// tensor and an intra-op worker count (1 = serial, 0 = GOMAXPROCS).
-// The uniform per-sample lookup count means no lengths vector is
-// materialized at all. With a row cache attached or an int8 table in
-// play it takes the locality-aware planned gather (dedup + sorted
-// staging + read-through cache); results are bit-identical to Forward
-// either way.
+// tensor and an intra-op worker count (1 = serial, 0 = GOMAXPROCS):
+// Begin followed at once by Finish. The uniform per-sample lookup
+// count means no lengths vector is materialized at all. With a row
+// cache attached, an int8 table or a GatherSource in play it takes the
+// locality-aware planned gather (dedup + sorted staging + read-through
+// cache); results are bit-identical to Forward either way.
 func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
-	if len(ids) != batch*s.Lookups {
-		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
-	}
-	if s.Async() && len(ids) < maxPlanPositions {
-		// Remote store: dispatch and immediately wait. Callers that can
-		// overlap the in-flight gather with other work use Begin/Finish
-		// directly (model.ForwardDeadline).
-		var f SLSForward
-		s.Begin(&f, ids, batch, a, workers, time.Time{})
-		return f.Finish()
-	}
-	if (s.cache != nil || s.Quant != nil) && len(ids) < maxPlanPositions {
-		return s.forwardGather(ids, batch, a, workers)
-	}
-	if s.Quant != nil {
-		// Gather too large for a plan (> 2^24 positions): dequantize
-		// per occurrence.
-		return s.forwardQuantNaive(ids, batch, a)
-	}
-	return s.forwardDirect(ids, batch, a, workers)
+	var f SLSForward
+	s.Begin(&f, ids, batch, a, workers, time.Time{})
+	return f.Finish()
 }
 
 // forwardDirect is the naive fp32 gather: every occurrence reads its
@@ -284,36 +240,21 @@ func (s *SLSOp) ForwardEx(ids []int, batch int, a *tensor.Arena, workers int) *t
 func (s *SLSOp) forwardDirect(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
 	out := allocDense(a, batch, s.Table.Cols)
 	s.Table.validateIDs(ids)
+	w := s.Table.W.Data()
 	workers = slsWorkers(workers, batch, len(ids)*s.Table.Cols)
 	if workers <= 1 {
 		// Inline serial path: the parallel branch's closure must not be
 		// reached here, or its allocation would break the steady-state
 		// zero-alloc contract.
-		s.gatherUniform(out, ids, 0, batch)
+		poolUniform(out, w, ids, s.Lookups, 0, batch)
 	} else {
 		// Panic-isolating fan-out: a bad shard re-raises on this
 		// goroutine.
 		tensor.ParallelFor(batch, workers, func(lo, hi int) {
-			s.gatherUniform(out, ids, lo, hi)
+			poolUniform(out, w, ids, s.Lookups, lo, hi)
 		})
 	}
-	if s.Mean {
-		inv := 1 / float32(s.Lookups)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
-		}
-	}
 	return out
-}
-
-// gatherUniform pools rows [kLo, kHi) with the op's uniform lookup
-// count. IDs must be pre-validated.
-func (s *SLSOp) gatherUniform(out *tensor.Tensor, ids []int, kLo, kHi int) {
-	l := s.Lookups
-	for k := kLo; k < kHi; k++ {
-		s.Table.accumRow(out.Row(k), ids[k*l:(k+1)*l])
-	}
 }
 
 // Stats reports the gather work: each lookup reads one row of Cols fp32

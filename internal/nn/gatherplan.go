@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"recsys/internal/tensor"
 )
@@ -47,9 +48,9 @@ type gatherPlan struct {
 	uniq  []int64 // unique row IDs, ascending
 	index []int32 // per original position: row index into the staging buffer
 
-	// Miss-list scratch for the async (GatherSource) path: the unique
-	// rows the cache could not serve, as (row ID, staging row) pairs —
-	// the sub-plan BeginGather fans out per shard.
+	// Miss-list scratch for a GatherSource: the unique rows the cache
+	// could not serve, as (row ID, staging row) pairs — the sub-plan
+	// BeginGather fans out per shard.
 	missIDs  []int64
 	missRows []int32
 }
@@ -125,7 +126,7 @@ func (p *gatherPlan) sortByID(maxID uint64) {
 }
 
 // SetRowCache attaches (or, with nil, detaches) a read-through row
-// cache; ForwardEx then takes the planned gather path. The op must not
+// cache; ForwardEx then takes the planned gather. The op must not
 // be serving when the attached cache changes — the engine attaches
 // before a model is published and the same-cache re-attach on hot swap
 // is a guarded no-op, so swap traffic never races this write.
@@ -151,60 +152,108 @@ func (s *SLSOp) InvalidateCachedRows() {
 	}
 }
 
-// forwardGather is the locality-aware serving path: dedup the merged
-// batch's IDs (co-batched requests share hot rows), gather each unique
-// row once — through the cache when attached, dequantizing at most
-// once per unique row when the table is int8 — into an arena-backed
-// staging buffer, then accumulate pooled sums via plan indices.
+// SLSForward is one SLS forward split in two: Begin plans the gather
+// and starts it, Finish completes it and pools. It is the only planned
+// gather — ForwardEx is Begin followed at once by Finish — and the
+// split lets the model run the Bottom-MLP while a GatherSource's rows
+// are in flight: the overlap internal/dist's Estimate models (TotalUS =
+// max(Bottom, Shard+Net) + Top).
 //
-// Output is bit-identical to the naive path: staging rows hold the
-// exact fp32 (or deterministically dequantized) row values, and each
-// output row accumulates them in the original per-sample ID order.
-func (s *SLSOp) forwardGather(ids []int, batch int, a *tensor.Arena, workers int) *tensor.Tensor {
+// The planned gather is locality-aware: dedup the merged batch's IDs
+// (co-batched requests share hot rows), stage each unique row once —
+// through the cache when attached, dequantizing at most once per
+// unique row when the table is int8 — into an arena-backed buffer,
+// then accumulate pooled sums via plan indices. Output is
+// bit-identical to the plan-free paths: staging rows hold the exact
+// fp32 (or deterministically dequantized) row values, and each output
+// row accumulates them in the original per-sample ID order.
+type SLSForward struct {
+	op      *SLSOp
+	out     *tensor.Tensor
+	batch   int
+	workers int // resolved intra-op worker count
+
+	// Planned-gather state; plan is nil when Begin ran a plan-free
+	// path to completion.
+	plan    *gatherPlan
+	staging *tensor.Tensor
+	gen     uint64
+	pending PendingGather
+}
+
+// Begin starts one SLS forward into f. f is caller-owned scratch
+// (typically a stack value) and must not be reused until Finish
+// returns.
+//
+// The planned gather runs when a row cache is attached, the table is
+// int8, or the store is a GatherSource (and the batch fits a plan).
+// Begin validates the IDs, builds the dedup plan and consults the row
+// cache; then the local store stages the missing rows itself, while a
+// GatherSource is handed the miss list and fetches it asynchronously.
+// Otherwise — cache-off fp32 serving, or a gather too large for a plan
+// — Begin runs the plan-free path to completion.
+func (s *SLSOp) Begin(f *SLSForward, ids []int, batch int, a *tensor.Arena, workers int, deadline time.Time) {
+	if len(ids) != batch*s.Lookups {
+		panic(fmt.Sprintf("nn: SLSOp expects %d IDs for batch %d, got %d", batch*s.Lookups, batch, len(ids)))
+	}
+	*f = SLSForward{op: s, batch: batch}
+	store := s.src()
+	gs, async := store.(GatherSource)
+	if len(ids) >= maxPlanPositions || !async && s.cache == nil && s.Quant == nil {
+		if s.Quant != nil {
+			f.out = s.forwardQuantNaive(ids, batch, a)
+		} else {
+			f.out = s.forwardDirect(ids, batch, a, workers)
+		}
+		return
+	}
 	cols := s.Table.Cols
-	out := allocDense(a, batch, cols)
+	f.out = allocDense(a, batch, cols)
 	s.Table.validateIDs(ids)
 	p := planPool.Get().(*gatherPlan)
+	f.plan = p
 	nUniq := p.build(ids)
-	// Staging can skip the arena's zero fill: stageRows writes every
-	// row in [0, nUniq) before accumStaged reads any of it. (out must
-	// stay zeroed — accumulation is +=.)
+	// Staging can skip the arena's zero fill: every row in [0, nUniq)
+	// is written — by a cache hit, a local read or the fetch — before
+	// Finish reads any of it. (out must stay zeroed: pooling is +=.)
 	staging := allocDenseUninit(a, nUniq, cols)
 	var gen uint64
 	if s.cache != nil {
 		gen = s.cache.Gen()
 	}
-	workers = slsWorkers(workers, batch, len(ids)*cols)
-	if workers <= 1 {
-		// Inline serial path: the parallel branch's closures must not
-		// be reached here, or their allocation would break the
-		// steady-state zero-alloc contract.
-		s.stageRows(staging, p.uniq, 0, nUniq, gen)
-		s.accumStaged(out, staging, p.index, 0, batch)
-	} else {
-		tensor.ParallelFor(nUniq, workers, func(lo, hi int) {
-			s.stageRows(staging, p.uniq, lo, hi, gen)
-		})
-		tensor.ParallelFor(batch, workers, func(lo, hi int) {
-			s.accumStaged(out, staging, p.index, lo, hi)
-		})
-	}
-	if s.Mean {
-		inv := 1 / float32(s.Lookups)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
+	f.staging, f.gen = staging, gen
+	f.workers = slsWorkers(workers, batch, len(ids)*cols)
+	p.missIDs = p.missIDs[:0]
+	p.missRows = p.missRows[:0]
+	if !async {
+		if f.workers <= 1 {
+			// Inline serial path: the parallel branch's closure must not
+			// be reached here, or its allocation would break the
+			// steady-state zero-alloc contract.
+			s.stageRows(store, staging, p.uniq, 0, nUniq, gen)
+		} else {
+			tensor.ParallelFor(nUniq, f.workers, func(lo, hi int) {
+				s.stageRows(store, staging, p.uniq, lo, hi, gen)
+			})
 		}
+		return
 	}
-	planPool.Put(p)
-	return out
+	for u, id := range p.uniq {
+		if s.cache != nil && s.cache.Lookup(gen, uint64(id), staging.Row(u)) {
+			continue
+		}
+		p.missIDs = append(p.missIDs, id)
+		p.missRows = append(p.missRows, int32(u))
+	}
+	if len(p.missIDs) > 0 {
+		f.pending = gs.BeginGather(p.missIDs, p.missRows, staging, deadline)
+	}
 }
 
-// stageRows materializes unique rows [lo, hi) into the staging buffer:
-// cache hit, else a row-store read (fp32 copy or int8 dequant through
-// the LocalStore implementation) followed by a read-through insert.
-func (s *SLSOp) stageRows(staging *tensor.Tensor, uniq []int64, lo, hi int, gen uint64) {
-	store := s.src()
+// stageRows materializes unique rows [lo, hi) into the staging buffer
+// from a local store: cache hit, else a row-store read (fp32 copy or
+// int8 dequant) followed by a read-through insert.
+func (s *SLSOp) stageRows(store RowStore, staging *tensor.Tensor, uniq []int64, lo, hi int, gen uint64) {
 	for u := lo; u < hi; u++ {
 		id := uniq[u]
 		dst := staging.Row(u)
@@ -218,66 +267,61 @@ func (s *SLSOp) stageRows(staging *tensor.Tensor, uniq []int64, lo, hi int, gen 
 	}
 }
 
-// accumStaged pools output rows [kLo, kHi) from staged rows via plan
-// indices, in original per-sample ID order. On the AVX2 tier each
-// staged-row add runs through tensor.AddF32 (bit-identical to the
-// scalar loop); the pure-Go tier mirrors accumRow's fixed-width 32/64
-// specializations (bounds-check-free), with the default path covering
-// the narrow NCF widths.
-func (s *SLSOp) accumStaged(out, staging *tensor.Tensor, index []int32, kLo, kHi int) {
-	sd := staging.Data()
-	l := s.Lookups
-	if tensor.SIMDActive() {
-		cols := s.Table.Cols
-		for k := kLo; k < kHi; k++ {
-			d := out.Row(k)
-			for _, u := range index[k*l : (k+1)*l] {
-				tensor.AddF32(d, sd[int(u)*cols:int(u)*cols+cols])
-			}
-		}
-		return
+// Finish completes the forward begun by Begin and returns the pooled
+// output. If a gather is in flight it waits for the rows, then applies
+// the generation protocol: insert the fetched rows under the captured
+// token, or invalidate the cache when the source's generation moved.
+// It then accumulates in the same per-sample ID order as every other
+// path, so results are bit-identical to the local gather as long as
+// the source serves the same row values. A fetch error panics with the
+// source's error value (the engine's recover maps it to its HTTP
+// taxonomy).
+func (f *SLSForward) Finish() *tensor.Tensor {
+	p := f.plan
+	if p == nil {
+		return f.out
 	}
-	switch s.Table.Cols {
-	case 32:
-		for k := kLo; k < kHi; k++ {
-			d := (*[32]float32)(out.Row(k))
-			for _, u := range index[k*l : (k+1)*l] {
-				src := (*[32]float32)(sd[int(u)*32:])
-				for i := range d {
-					d[i] += src[i]
-				}
-			}
+	s := f.op
+	if f.pending != nil {
+		genChanged, err := f.pending.Wait()
+		if err != nil {
+			planPool.Put(p)
+			panic(err)
 		}
-	case 64:
-		for k := kLo; k < kHi; k++ {
-			d := (*[64]float32)(out.Row(k))
-			for _, u := range index[k*l : (k+1)*l] {
-				src := (*[64]float32)(sd[int(u)*64:])
-				for i := range d {
-					d[i] += src[i]
-				}
-			}
-		}
-	default:
-		cols := s.Table.Cols
-		for k := kLo; k < kHi; k++ {
-			d := out.Row(k)
-			for _, u := range index[k*l : (k+1)*l] {
-				src := sd[int(u)*cols : int(u)*cols+cols]
-				for i, v := range src {
-					d[i] += v
+		if s.cache != nil {
+			if genChanged {
+				// The source rewrote rows since the last gather: rows
+				// read from the cache this pass may be stale (same
+				// in-flight window a local trainer's invalidation has);
+				// dropping the generation re-fetches everything next
+				// pass instead of inserting possibly-mixed rows under
+				// the old token.
+				s.cache.Invalidate()
+			} else {
+				for i, id := range p.missIDs {
+					s.cache.Insert(f.gen, uint64(id), f.staging.Row(int(p.missRows[i])))
 				}
 			}
 		}
 	}
+	out, sd, index, l := f.out, f.staging.Data(), p.index, s.Lookups
+	if f.workers <= 1 {
+		poolUniform(out, sd, index, l, 0, f.batch)
+	} else {
+		tensor.ParallelFor(f.batch, f.workers, func(lo, hi int) {
+			poolUniform(out, sd, index, l, lo, hi)
+		})
+	}
+	planPool.Put(p)
+	f.plan = nil
+	return out
 }
 
 // forwardQuantNaive is the plan-free int8 reference: dequantize every
 // occurrence on the fly via the fused dequantize-accumulate kernel,
 // exactly like QuantizedTable.SparseLengthsSum with a uniform lengths
-// vector. It is the equivalence baseline (and the fallback for gathers
-// too large for a plan); with an arena it runs allocation-free so
-// benchmarks can compare it fairly against the planned gather.
+// vector. It is Forward's equivalence baseline and the fallback for
+// gathers too large for a plan.
 func (s *SLSOp) forwardQuantNaive(ids []int, batch int, a *tensor.Arena) *tensor.Tensor {
 	cols := s.Table.Cols
 	out := allocDense(a, batch, cols)
@@ -287,13 +331,6 @@ func (s *SLSOp) forwardQuantNaive(ids []int, batch int, a *tensor.Arena) *tensor
 		d := out.Row(k)
 		for _, id := range ids[k*l : (k+1)*l] {
 			s.Quant.AccumRow(id, d)
-		}
-	}
-	if s.Mean {
-		inv := 1 / float32(l)
-		d := out.Data()
-		for i := range d {
-			d[i] *= inv
 		}
 	}
 	return out

@@ -81,21 +81,6 @@ func TestForwardGatherBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForwardGatherMean covers the mean-pooling scaling on the planned
-// path.
-func TestForwardGatherMean(t *testing.T) {
-	rng := stats.NewRNG(12)
-	table := NewEmbeddingTable("t", 200, 32, rng)
-	op := &SLSOp{Table: table, Lookups: 8, Mean: true}
-	cache, _ := embcache.NewConcurrent(32, 32, "lru", 1)
-	op.SetRowCache(cache)
-	ids := drawIDs(trace.NewZipfian(200, 1.1, rng), 4, 8)
-	want := op.Forward(ids, 4)
-	if got := op.ForwardEx(ids, 4, nil, 1); !tensor.Equal(want, got, 0) {
-		t.Fatal("mean pooling differs on planned path")
-	}
-}
-
 // TestForwardQuantBitIdentical: the planned int8 gather (dedup +
 // cached dequantized rows) must match the naive per-occurrence dequant
 // reference bit for bit — dequantization is deterministic, so staging

@@ -47,20 +47,17 @@ func TestParallelSLSMatchesSerial(t *testing.T) {
 func TestSLSOpForwardExMatchesForward(t *testing.T) {
 	rng := stats.NewRNG(32)
 	for _, cols := range []int{32, 64, 24} {
-		for _, mean := range []bool{false, true} {
-			table := NewEmbeddingTable("t", 300, cols, rng)
-			op := NewSLSOp(table, 20)
-			op.Mean = mean
-			batch := 17
-			ids := randIDs(rng, batch*op.Lookups, table.Rows)
-			want := op.Forward(ids, batch)
-			arena := tensor.NewArena()
-			for _, workers := range []int{0, 1, 2, 5} {
-				arena.Reset()
-				got := op.ForwardEx(ids, batch, arena, workers)
-				if !tensor.Equal(got, want, 0) {
-					t.Fatalf("cols %d mean %v workers %d: ForwardEx not bit-identical", cols, mean, workers)
-				}
+		table := NewEmbeddingTable("t", 300, cols, rng)
+		op := NewSLSOp(table, 20)
+		batch := 17
+		ids := randIDs(rng, batch*op.Lookups, table.Rows)
+		want := op.Forward(ids, batch)
+		arena := tensor.NewArena()
+		for _, workers := range []int{0, 1, 2, 5} {
+			arena.Reset()
+			got := op.ForwardEx(ids, batch, arena, workers)
+			if !tensor.Equal(got, want, 0) {
+				t.Fatalf("cols %d workers %d: ForwardEx not bit-identical", cols, workers)
 			}
 		}
 	}

@@ -106,16 +106,7 @@ func (q *QuantizedTable) AccumRow(r int, dst []float32) {
 // SparseLengthsSum pools quantized rows exactly like
 // EmbeddingTable.SparseLengthsSum, dequantizing on the fly.
 func (q *QuantizedTable) SparseLengthsSum(ids []int, lengths []int) *tensor.Tensor {
-	total := 0
-	for _, l := range lengths {
-		if l < 0 {
-			panic("nn: SparseLengthsSum negative length")
-		}
-		total += l
-	}
-	if total != len(ids) {
-		panic(fmt.Sprintf("nn: SparseLengthsSum lengths sum to %d but %d IDs given", total, len(ids)))
-	}
+	checkLengths(ids, lengths)
 	out := tensor.New(len(lengths), q.Cols)
 	cur := 0
 	for k, l := range lengths {

@@ -67,12 +67,12 @@ func (p *Profile) OpSpan(name string, kind nn.Kind, d time.Duration) {
 
 // Forward runs one instrumented forward pass, returning the output and
 // the per-stage timing. The spans come from the serving hot path itself
-// (Model.ForwardSpans) — the same code the engine executes — so the
+// (Model.ForwardDeadline) — the same code the engine executes — so the
 // breakdown measures real serving work, and the computation is
 // bit-identical to Model.Forward.
 func Forward(m *model.Model, req model.Request) (*tensor.Tensor, Profile) {
 	var p Profile
-	out := m.ForwardSpans(req, nil, 1, &p)
+	out := m.ForwardDeadline(req, nil, 1, &p, time.Time{})
 	return out, p
 }
 

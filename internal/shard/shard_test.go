@@ -269,9 +269,9 @@ func TestDeadShardSurfacesErrUnavailable(t *testing.T) {
 	remote.ForwardEx(ids, 32, nil, 1)
 }
 
-// TestPooledOpcodeWire exercises opGatherPooled at the wire level
-// against one server: partial pooled sums come back in request-segment
-// order (bit-identical to a local in-order sum on a single shard).
+// TestPooledOpcodeWire: opcode 2, the retired server-side pooled-sum
+// gather, is rejected with statusBadRequest even when its frame is
+// well formed, and the same connection then still serves opGatherRows.
 func TestPooledOpcodeWire(t *testing.T) {
 	rng := stats.NewRNG(41)
 	tab := nn.NewEmbeddingTable("t0", 500, 16, rng)
@@ -292,41 +292,53 @@ func TestPooledOpcodeWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	ids := []uint32{3, 11, 3, 200, 7, 7}
-	offsets := []uint32{0, 3, 6} // two output rows of three lookups each
-	req := appendPooledReq(nil, 9, 0, 0, ids, offsets)
-	if err := writeFrame(bw, req); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := decodeResp(payload, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.nRows != 2 || tr.cols != 16 {
-		t.Fatalf("pooled response shape %dx%d, want 2x16", tr.nRows, tr.cols)
-	}
-	row := make([]float32, 16)
-	want := make([]float32, 16)
-	scratch := make([]float32, 16)
-	store := op.LocalStore()
-	for o := 0; o < 2; o++ {
-		clear(want)
-		for _, id := range ids[offsets[o]:offsets[o+1]] {
-			store.ReadRow(int64(id), scratch)
-			for j := range want {
-				want[j] += scratch[j]
-			}
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	roundTrip := func(req []byte) []byte {
+		t.Helper()
+		if err := writeFrame(bw, req); err != nil {
+			t.Fatal(err)
 		}
-		tr.rowF32(o, row)
-		tensorsEqualBits(t, row, want)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+
+	// The retired layout: one table whose two IDs pool into one output
+	// row (u32 nOut, then nOut+1 u32 offsets, then the IDs).
+	pooled := []byte{wireVersion, 2}
+	pooled = putU32(pooled, 9) // reqID
+	pooled = putU32(pooled, 0) // deadlineUS
+	pooled = putU16(pooled, 1) // nTables
+	for _, v := range []uint32{0, 2, 1, 0, 2, 3, 11} {
+		pooled = putU32(pooled, v) // table, nIDs, nOut, offsets, IDs
+	}
+	payload := roundTrip(pooled)
+	if len(payload) < 6 || payload[1] != statusBadRequest || binary.LittleEndian.Uint32(payload[2:]) != 9 {
+		t.Fatalf("opcode 2 reply %v, want statusBadRequest for request 9", payload)
+	}
+	if _, err := decodeResp(payload, 9); err == nil {
+		t.Fatal("opcode 2 reply decoded as a success")
+	}
+
+	ids := []uint32{3, 11, 3, 200}
+	tr, err := decodeResp(roundTrip(appendRowsReq(nil, 10, 0, 0, ids)), 10)
+	if err != nil {
+		t.Fatalf("opGatherRows after the rejected opcode: %v", err)
+	}
+	if tr.nRows != len(ids) || tr.cols != 16 {
+		t.Fatalf("rows response shape %dx%d, want %dx16", tr.nRows, tr.cols, len(ids))
+	}
+	got := make([]float32, 16)
+	want := make([]float32, 16)
+	for i, id := range ids {
+		op.LocalStore().ReadRow(int64(id), want)
+		tr.rowF32(i, got)
+		tensorsEqualBits(t, got, want)
 	}
 }
 
