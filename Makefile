@@ -40,10 +40,11 @@ lint: vet
 # gather, shard the hedged-fan-out client and loopback servers of the
 # remote tier, sched/adapt the control loop that flips live batch
 # policies under traffic, online the background train→quantize→swap
-# updater, and scenario the chaos harness that storms swaps against
-# live load).
+# updater, scenario the chaos harness that storms swaps against live
+# load, and obs the per-kind operator-time ledger every executor
+# worker adds to).
 race:
-	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/model ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario
+	$(GO) test -race ./internal/engine ./internal/tensor ./internal/nn ./internal/model ./internal/embcache ./internal/shard ./internal/sched/adapt ./internal/online ./internal/scenario ./internal/obs
 
 # Tier-1 verify recipe (see ROADMAP.md).
 verify: fmt-check build test lint race

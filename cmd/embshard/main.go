@@ -10,9 +10,9 @@
 // the same -model/-scale/-seed so all replicas materialize identical
 // table weights; clients route each row to its owning shard by row
 // hash, so a shard is only ever asked for its own ~1/n of the rows.
-// An "-int8" model suffix serves row-wise int8-quantized tables
-// (dequantized on read, amortized by -emb-cache exactly like the
-// in-process serving path).
+// The -model value is a full cmd/serve spec; an "-int8" or "-int8mlp"
+// suffix serves row-wise int8-quantized tables (dequantized on read,
+// amortized by -emb-cache exactly like the in-process serving path).
 //
 // -stall/-stall-every inject a transient per-request stall (every Nth
 // gather sleeps) — the fault shape hedged client requests absorb; used
@@ -26,7 +26,6 @@ import (
 	"log"
 	"net"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -40,7 +39,7 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", ":7601", "listen address")
-		preset     = flag.String("model", "rmc1", "preset to serve tables for: rmc1|rmc2|rmc3|ncf, optional -int8 suffix and :scale")
+		spec       = flag.String("model", "rmc1", "model spec to serve tables for, as given to cmd/serve: [name=]preset[:scale][@weight]")
 		scale      = flag.Int("scale", 100, "embedding-table shrink factor when -model has no explicit :scale")
 		seed       = flag.Uint64("seed", 1, "weight seed; must match the serving node's")
 		embCache   = flag.Int("emb-cache", 0, "hot rows cached per table on this shard (0 = off)")
@@ -51,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stores, desc, err := buildStores(*preset, *scale, *seed)
+	stores, desc, err := buildStores(*spec, *scale, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,58 +92,28 @@ func main() {
 	log.Print("bye")
 }
 
-// buildStores materializes the preset's embedding tables (weights
-// identical to a serving node built from the same preset/scale/seed)
-// and returns their row stores in table order.
-func buildStores(spec string, defaultScale int, seed uint64) ([]nn.RowStore, string, error) {
-	rest := strings.ToLower(spec)
-	scale := defaultScale
-	if colon := strings.IndexByte(rest, ':'); colon >= 0 {
-		s, err := strconv.Atoi(rest[colon+1:])
-		if err != nil || s <= 0 {
-			return nil, "", fmt.Errorf("embshard: bad scale in %q", spec)
-		}
-		scale = s
-		rest = rest[:colon]
-	}
-	// The MLP-quantization suffix is accepted for symmetry with serve's
-	// specs; only the table representation matters on a shard.
-	base, int8Tables := strings.CutSuffix(rest, "-int8mlp")
-	if !int8Tables {
-		base, int8Tables = strings.CutSuffix(base, "-int8")
-	}
-	var cfg model.Config
-	switch base {
-	case "rmc1":
-		cfg = model.RMC1Small()
-	case "rmc2":
-		cfg = model.RMC2Small()
-	case "rmc3":
-		cfg = model.RMC3Small()
-	case "ncf":
-		cfg = model.MLPerfNCF()
-	default:
-		return nil, "", fmt.Errorf("embshard: unknown preset %q", spec)
-	}
-	if scale > 1 {
-		cfg = cfg.Scaled(scale)
-	}
-	// Match serve's weight stream exactly: it builds its first -model
-	// spec from the seed RNG's first split.
-	m, err := model.Build(cfg, stats.NewRNG(seed).Split())
+// buildStores materializes the spec's embedding tables and returns
+// their row stores in table order. It accepts every -model value
+// cmd/serve does; the name= and @weight parts do not matter on a
+// shard, and neither does MLP quantization. The tables are bit-identical
+// to a serving node's built from the same spec and seed (see
+// model.Spec.Build).
+func buildStores(v string, defaultScale int, seed uint64) ([]nn.RowStore, string, error) {
+	spec, err := model.ParseSpec(v, defaultScale)
 	if err != nil {
 		return nil, "", err
 	}
-	if int8Tables {
-		m.QuantizeTables()
+	m, err := spec.Build(stats.NewRNG(seed).Split())
+	if err != nil {
+		return nil, "", err
 	}
 	stores := make([]nn.RowStore, len(m.SLS))
 	for i, op := range m.SLS {
 		stores[i] = op.LocalStore()
 	}
-	desc := cfg.Name
-	if int8Tables {
+	desc := spec.Config.Name
+	if spec.Int8Tables {
 		desc += "-int8"
 	}
-	return stores, fmt.Sprintf("%s (scale %d, seed %d)", desc, scale, seed), nil
+	return stores, fmt.Sprintf("%s (scale %d, seed %d)", desc, spec.Scale, seed), nil
 }

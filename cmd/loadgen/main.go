@@ -12,7 +12,10 @@
 // With -real, loadgen builds the model and drives the real concurrent
 // engine in-process instead of the discrete-event simulator: measured
 // wall-clock latencies, formed-batch histogram, and per-operator time
-// from the instrumented forward pass.
+// from the instrumented forward pass. -model takes cmd/serve's spec
+// grammar (see model.ParseSpec); the int8 suffixes need -real. Failed
+// requests are counted and charged as SLA misses, so the violation
+// share is over attempted requests.
 //
 // -arrival selects the arrival process (real mode): "poisson" (steady),
 // "flash" (rate steps to -peak-mult× at -arrival-period and holds),
@@ -75,8 +78,7 @@ import (
 
 // realConfig carries the -real mode knobs into runReal.
 type realConfig struct {
-	cfg       model.Config
-	scale     int
+	spec      model.Spec
 	batch     int
 	workers   int
 	qps       float64
@@ -104,7 +106,7 @@ type realConfig struct {
 
 func main() {
 	var (
-		preset      = flag.String("model", "rmc1", "rmc1, rmc2, rmc3, or ncf")
+		specFlag    = flag.String("model", "rmc1", "model spec: preset[:scale] with preset rmc1, rmc2, rmc3 (each also -large) or ncf; -real also takes an -int8 or -int8mlp suffix")
 		machineName = flag.String("machine", "Broadwell", "Haswell, Broadwell, or Skylake")
 		batch       = flag.Int("batch", 16, "batch size per request")
 		workers     = flag.Int("workers", 4, "co-located model instances (thread pool size)")
@@ -115,7 +117,7 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 0, "enable dynamic batching up to this many samples (0 = fixed batches)")
 		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "dynamic-batching wait bound")
 		real        = flag.Bool("real", false, "drive the real in-process engine instead of the simulator")
-		scale       = flag.Int("scale", 100, "embedding-table shrink factor in -real mode")
+		scale       = flag.Int("scale", 100, "embedding-table shrink factor in -real mode when -model has no :scale")
 		traceOn     = flag.Bool("trace", false, "in -real mode, trace requests and print the slowest request's per-stage breakdown")
 		zipfS       = flag.Float64("zipf", 0, "in -real mode, draw sparse IDs from a per-table Zipf(s) generator (0 = uniform)")
 		embCache    = flag.Int("emb-cache", 0, "in -real mode, hot embedding rows cached per table (0 = off)")
@@ -147,23 +149,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	var cfg model.Config
-	switch strings.ToLower(*preset) {
-	case "rmc1":
-		cfg = model.RMC1Small()
-	case "rmc2":
-		cfg = model.RMC2Small()
-	case "rmc3":
-		cfg = model.RMC3Small()
-	case "ncf":
-		cfg = model.MLPerfNCF()
-	default:
-		fmt.Fprintf(os.Stderr, "loadgen: unknown model %q\n", *preset)
+	// The simulator prices full-size tables unless the spec carries an
+	// explicit :scale; -scale applies to the real engine only.
+	defaultScale := 1
+	if *real {
+		defaultScale = *scale
+	}
+	spec, err := model.ParseSpec(*specFlag, defaultScale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen: "+err.Error())
 		os.Exit(1)
 	}
 	if *real {
 		runReal(realConfig{
-			cfg: cfg, scale: *scale, batch: *batch, workers: *workers,
+			spec: spec, batch: *batch, workers: *workers,
 			qps: *qps, requests: *requests, sla: *sla, seed: *seed,
 			maxBatch: *maxBatch, maxWait: *maxWait, traceOn: *traceOn,
 			zipfS: *zipfS, embCache: *embCache, embPolicy: *embPolicy,
@@ -190,6 +189,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: -online requires -real (the simulator has no trainable weights)")
 		os.Exit(1)
 	}
+	if spec.Int8Tables {
+		fmt.Fprintln(os.Stderr, "loadgen: -int8/-int8mlp presets require -real (the simulator is fp32)")
+		os.Exit(1)
+	}
+	cfg := spec.Config
 
 	m, err := arch.ByName(*machineName)
 	if err != nil {
@@ -237,16 +241,13 @@ func main() {
 // scheduling controller re-tunes the batch policy live while the load
 // plays.
 func runReal(rc realConfig) {
-	cfg := rc.cfg
-	if rc.scale > 1 {
-		cfg = cfg.Scaled(rc.scale)
-	}
+	cfg := rc.spec.Config
 	if rc.adapt && rc.sla <= 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: -adapt requires a positive -sla target")
 		os.Exit(1)
 	}
 	rng := stats.NewRNG(rc.seed)
-	m, err := model.Build(cfg, rng.Split())
+	m, err := rc.spec.Build(rng.Split())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -367,7 +368,10 @@ func runReal(rc realConfig) {
 	lat := stats.NewSample(rc.requests)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	violations := 0
+	// A failed Rank is an SLA miss: its client got no scores in time.
+	// The violation share is therefore over attempted requests.
+	violations, failed := 0, 0
+	var firstErr error
 	start := time.Now()
 	for _, ev := range arrivals {
 		at := time.Duration(ev.TimeUS * float64(time.Microsecond))
@@ -386,16 +390,22 @@ func runReal(rc realConfig) {
 		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			if _, err := srv.Rank(context.Background(), req); err != nil {
-				return
-			}
+			_, err := srv.Rank(context.Background(), req)
 			l := float64(time.Since(t0).Microseconds())
 			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				failed++
+				violations++
+				if firstErr == nil {
+					firstErr = err
+				}
+				return
+			}
 			lat.Add(l)
 			if rc.sla > 0 && l > float64(rc.sla.Microseconds()) {
 				violations++
 			}
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
@@ -409,14 +419,19 @@ func runReal(rc realConfig) {
 	srv.Close()
 
 	s := lat.Summarize()
+	attempted := len(arrivals)
 	fmt.Printf("requests:       %d\n", lat.Len())
+	fmt.Printf("failed:         %d of %d attempted\n", failed, attempted)
+	if firstErr != nil {
+		fmt.Printf("first failure:  %v\n", firstErr)
+	}
 	fmt.Printf("latency mean:   %.1fµs\n", s.Mean)
 	fmt.Printf("latency p50:    %.1fµs\n", s.P50)
 	fmt.Printf("latency p95:    %.1fµs\n", s.P95)
 	fmt.Printf("latency p99:    %.1fµs\n", s.P99)
-	fmt.Printf("SLA violations: %d (%.2f%%)\n", violations, 100*float64(violations)/float64(lat.Len()))
+	fmt.Printf("SLA violations: %d (%.2f%% of attempted, failures included)\n", violations, 100*float64(violations)/float64(attempted))
 	fmt.Printf("throughput:     %.0f req/s\n", float64(lat.Len())/elapsed.Seconds())
-	fmt.Printf("goodput:        %.0f req/s within SLA\n", float64(lat.Len()-violations)/elapsed.Seconds())
+	fmt.Printf("goodput:        %.0f req/s within SLA\n", float64(attempted-violations)/elapsed.Seconds())
 	if ctrl != nil {
 		fmt.Println()
 		fmt.Println(ctrl.String())

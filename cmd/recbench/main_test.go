@@ -26,36 +26,37 @@ func TestResolveConfigPresets(t *testing.T) {
 		"rmc3": model.RMC3, "ncf": model.NCF,
 	}
 	for preset, class := range cases {
-		cfg, err := resolveConfig(preset, 0, "", "", 0, 0, 0, 0, "")
+		spec, err := resolveConfig(preset, 1, 0, "", "", 0, 0, 0, 0, "")
 		if err != nil {
 			t.Fatalf("%s: %v", preset, err)
 		}
-		if cfg.Class != class {
-			t.Errorf("%s: class %v, want %v", preset, cfg.Class, class)
+		if spec.Config.Class != class {
+			t.Errorf("%s: class %v, want %v", preset, spec.Config.Class, class)
 		}
 	}
-	if _, err := resolveConfig("rmc9", 0, "", "", 0, 0, 0, 0, ""); err == nil {
+	if _, err := resolveConfig("rmc9", 1, 0, "", "", 0, 0, 0, 0, ""); err == nil {
 		t.Error("unknown preset should error")
 	}
 }
 
 func TestResolveConfigCustom(t *testing.T) {
-	cfg, err := resolveConfig("", 13, "64-16", "16-1", 4, 1000, 16, 8, "dot")
+	spec, err := resolveConfig("", 1, 13, "64-16", "16-1", 4, 1000, 16, 8, "dot")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := spec.Config
 	if cfg.Class != model.Custom || cfg.Interaction != model.Dot || len(cfg.Tables) != 4 {
 		t.Errorf("custom config wrong: %+v", cfg)
 	}
 	// Dot with mismatched dims must be rejected by validation.
-	if _, err := resolveConfig("", 13, "64-32", "16-1", 4, 1000, 8, 8, "dot"); err == nil {
+	if _, err := resolveConfig("", 1, 13, "64-32", "16-1", 4, 1000, 8, 8, "dot"); err == nil {
 		t.Error("dot dim mismatch should fail validation")
 	}
 	// Bad widths propagate.
-	if _, err := resolveConfig("", 13, "64-x", "16-1", 4, 1000, 16, 8, "cat"); err == nil {
+	if _, err := resolveConfig("", 1, 13, "64-x", "16-1", 4, 1000, 16, 8, "cat"); err == nil {
 		t.Error("bad bottom widths should error")
 	}
-	if _, err := resolveConfig("", 13, "64-32", "x", 4, 1000, 16, 8, "cat"); err == nil {
+	if _, err := resolveConfig("", 1, 13, "64-32", "x", 4, 1000, 16, 8, "cat"); err == nil {
 		t.Error("bad top widths should error")
 	}
 }

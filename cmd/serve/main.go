@@ -83,7 +83,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -500,81 +499,18 @@ func registerModels(eng *engine.Engine, checkpoint string, specs modelSpecs, def
 		return errors.New("serve: -emb-shards serves a single model; repeated -model is not supported")
 	}
 	rng := stats.NewRNG(seed)
-	for _, spec := range specs {
-		name, m, weight, err := buildSpec(spec, defaultScale, rng.Split())
+	for _, v := range specs {
+		spec, err := model.ParseSpec(v, defaultScale)
 		if err != nil {
 			return err
 		}
-		if err := eng.Register(name, m, engine.ModelOptions{Weight: weight, EmbShards: emb}); err != nil {
+		m, err := spec.Build(rng.Split())
+		if err != nil {
+			return err
+		}
+		if err := eng.Register(spec.Name, m, engine.ModelOptions{Weight: spec.Weight, EmbShards: emb}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// buildSpec parses one -model value — name=preset[:scale][@weight],
-// with name= optional when serving a single preset — and builds the
-// model.
-func buildSpec(spec string, defaultScale int, rng *stats.RNG) (name string, m *model.Model, weight int, err error) {
-	rest := spec
-	name = engine.DefaultModelName
-	if eq := strings.IndexByte(rest, '='); eq >= 0 {
-		name, rest = rest[:eq], rest[eq+1:]
-		if name == "" {
-			return "", nil, 0, fmt.Errorf("serve: empty model name in %q", spec)
-		}
-	}
-	weight = 1
-	if at := strings.IndexByte(rest, '@'); at >= 0 {
-		weight, err = strconv.Atoi(rest[at+1:])
-		if err != nil || weight <= 0 {
-			return "", nil, 0, fmt.Errorf("serve: bad weight in %q", spec)
-		}
-		rest = rest[:at]
-	}
-	scale := defaultScale
-	if colon := strings.IndexByte(rest, ':'); colon >= 0 {
-		scale, err = strconv.Atoi(rest[colon+1:])
-		if err != nil || scale <= 0 {
-			return "", nil, 0, fmt.Errorf("serve: bad scale in %q", spec)
-		}
-		rest = rest[:colon]
-	}
-	// An "-int8" suffix (e.g. rmc2-int8) serves the preset with
-	// row-wise int8-quantized embedding tables (§ memory-capacity
-	// pressure; fp32 weights are retained as the source of truth).
-	// "-int8mlp" (e.g. rmc1-int8mlp) additionally runs the bottom/top
-	// MLPs in int8 compute.
-	base, int8MLPs := strings.CutSuffix(strings.ToLower(rest), "-int8mlp")
-	int8Tables := int8MLPs
-	if !int8MLPs {
-		base, int8Tables = strings.CutSuffix(base, "-int8")
-	}
-	var cfg model.Config
-	switch base {
-	case "rmc1":
-		cfg = model.RMC1Small()
-	case "rmc2":
-		cfg = model.RMC2Small()
-	case "rmc3":
-		cfg = model.RMC3Small()
-	case "ncf":
-		cfg = model.MLPerfNCF()
-	default:
-		return "", nil, 0, fmt.Errorf("serve: unknown preset %q", rest)
-	}
-	if scale > 1 {
-		cfg = cfg.Scaled(scale)
-	}
-	m, err = model.Build(cfg, rng)
-	if err != nil {
-		return "", nil, 0, err
-	}
-	if int8Tables {
-		m.QuantizeTables()
-	}
-	if int8MLPs {
-		m.QuantizeMLPs()
-	}
-	return name, m, weight, nil
 }

@@ -12,7 +12,6 @@ import (
 
 	"recsys/internal/engine"
 	"recsys/internal/obs"
-	"recsys/internal/stats"
 )
 
 // startServer boots the exact stack the binary serves — registerModels
@@ -195,47 +194,5 @@ func TestServeBadRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed rank: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestBuildSpec covers the -model spec grammar.
-func TestBuildSpec(t *testing.T) {
-	cases := []struct {
-		spec   string
-		name   string
-		weight int
-		ok     bool
-	}{
-		{"rmc1", "default", 1, true},
-		{"filter=rmc1:500@2", "filter", 2, true},
-		{"ranker=rmc3:500", "ranker", 1, true},
-		{"q=rmc2-int8:500", "q", 1, true},
-		{"qm=rmc1-int8mlp:500", "qm", 1, true},
-		{"=rmc1", "", 0, false},
-		{"rmc1@0", "", 0, false},
-		{"rmc1:-5", "", 0, false},
-		{"nope", "", 0, false},
-		{"rmc1-int8mlpx", "", 0, false},
-	}
-	rng := stats.NewRNG(1)
-	for _, c := range cases {
-		name, m, weight, err := buildSpec(c.spec, 1000, rng.Split())
-		if c.ok != (err == nil) {
-			t.Errorf("buildSpec(%q): err=%v, want ok=%v", c.spec, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if name != c.name || weight != c.weight || m == nil {
-			t.Errorf("buildSpec(%q) = (%q, %v, %d), want (%q, _, %d)", c.spec, name, m, weight, c.name, c.weight)
-		}
-		// Suffix semantics: -int8 quantizes tables only, -int8mlp both.
-		wantTables := strings.Contains(c.spec, "-int8")
-		wantMLPs := strings.Contains(c.spec, "-int8mlp")
-		if m.Quantized() != wantTables || m.Int8MLPs() != wantMLPs {
-			t.Errorf("buildSpec(%q): tables=%v mlps=%v, want %v/%v",
-				c.spec, m.Quantized(), m.Int8MLPs(), wantTables, wantMLPs)
-		}
 	}
 }

@@ -116,8 +116,9 @@ var ErrBadRequest = model.ErrBadRequest
 // request itself could cause.
 var ErrInference = errors.New("engine: inference failed")
 
-// DefaultModelName is the registry entry the single-model Server uses.
-const DefaultModelName = "default"
+// DefaultModelName is the registry entry the single-model Server uses,
+// and the name of a model spec without a name= part.
+const DefaultModelName = model.DefaultName
 
 // Server serves a single materialized model: a one-entry Engine kept
 // for the original single-model API and its callers.

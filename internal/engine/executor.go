@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"recsys/internal/model"
-	"recsys/internal/nn"
 	"recsys/internal/obs"
 	"recsys/internal/shard"
 	"recsys/internal/tensor"
@@ -19,34 +18,15 @@ import (
 // socket's cores between inter-request workers and intra-op kernel
 // goroutines is the co-location structure of the paper's §V-§VI.
 
-// spanTap is the per-worker model.SpanObserver: every span always
-// lands in the current queue's per-kind accumulators, and when the
-// dispatch carries a traced request the spans are additionally
-// captured into a reusable buffer for the request traces. One tap per
-// worker goroutine, so retargeting it per dispatch needs no locking
-// and the interface value passed to ForwardDeadline never allocates.
-type spanTap struct {
-	counters *counters
-	capture  bool
-	spans    []obs.Span
-}
-
-// OpSpan implements model.SpanObserver.
-func (o *spanTap) OpSpan(name string, kind nn.Kind, d time.Duration) {
-	o.counters.OpSpan(name, kind, d)
-	if o.capture {
-		o.spans = append(o.spans, obs.Span{Name: name, Kind: kind.String(), US: float64(d) / 1e3})
-	}
-}
-
 // workerScratch is the per-worker reusable state: a tensor arena for
 // every activation of the forward pass, the coalesced-request buffers
-// merge refills in place, and the span tap. One scratch per worker
-// goroutine, so no locking — the paper's intra/inter-op split keeps
-// each request's working set private to one worker.
+// merge refills in place, and the span recorder. One scratch per
+// worker goroutine, so no locking — the paper's intra/inter-op split
+// keeps each request's working set private to one worker — and
+// retargeting the recorder per dispatch never allocates.
 type workerScratch struct {
 	arena *tensor.Arena
-	tap   spanTap
+	spans obs.SpanRecorder
 	batch []*job    // forming-batch buffer, reused across dispatches
 	dense []float32 // merged dense features, grown to high-water mark
 	ids   [][]int   // per-table merged ID lists, capacities reused
@@ -298,17 +278,15 @@ func (e *Engine) forward(mq *modelQueue, m *model.Model, req model.Request, scra
 		}
 	}()
 	scratch.arena.Reset()
-	scratch.tap.counters = &mq.counters
-	scratch.tap.capture = traced
-	scratch.tap.spans = scratch.tap.spans[:0]
+	scratch.spans = obs.SpanRecorder{Ops: &mq.ops, OpsOnly: !traced, Spans: scratch.spans.Spans[:0]}
 	var t0 time.Time
 	if traced {
 		t0 = time.Now()
 	}
-	out = m.ForwardDeadline(req, scratch.arena, e.opts.IntraOpWorkers, &scratch.tap, deadline)
+	out = m.ForwardDeadline(req, scratch.arena, e.opts.IntraOpWorkers, &scratch.spans, deadline)
 	if traced {
 		execUS = float64(time.Since(t0)) / 1e3
-		spans = scratch.tap.spans
+		spans = scratch.spans.Spans
 	}
 	mq.recordBatch(req.Batch)
 	return out, execUS, spans, nil

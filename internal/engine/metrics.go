@@ -137,7 +137,7 @@ func (e *Engine) WriteMetrics(w io.Writer) {
 	obs.WriteFamily(w, "recsys_op_seconds_total", "counter", "Cumulative forward-pass time by operator kind.")
 	for _, v := range views {
 		for _, k := range nn.Kinds() {
-			ns := v.mq.kindNS[k].Load()
+			ns := v.mq.ops.NS(k)
 			if ns == 0 {
 				continue
 			}

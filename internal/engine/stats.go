@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recsys/internal/nn"
 	"recsys/internal/obs"
 	"recsys/internal/stats"
 )
@@ -117,9 +116,6 @@ func percentiles(lats []float64) (p50, p95, p99 float64) {
 	return sample.Percentile(50), sample.Percentile(95), sample.Percentile(99)
 }
 
-// nKinds sizes the per-operator-kind accumulators.
-const nKinds = int(nn.KindOther) + 1
-
 // counters is the mutable serving-statistics state of one model queue:
 // lock-free counters on the request path, a mutex-guarded latency ring
 // and batch-size histogram off it.
@@ -132,9 +128,9 @@ type counters struct {
 	sheds    atomic.Int64 // deadline sheds (no forward pass run)
 	splits   atomic.Int64 // oversized requests split across the pool
 
-	// kindNS accumulates instrumented forward-pass time per operator
-	// kind, in nanoseconds. Executor workers add concurrently.
-	kindNS [nKinds]atomic.Int64
+	// ops accumulates instrumented forward-pass time per operator
+	// kind. Executor workers add concurrently.
+	ops obs.OpTimes
 
 	// latHist and batchHist are the fixed-bucket histograms behind the
 	// /metrics exposition: cumulative (never reset), lock-free Observe,
@@ -157,13 +153,6 @@ type counters struct {
 func (c *counters) init() {
 	c.latHist = obs.NewHistogram(obs.LatencyBoundsNS)
 	c.batchHist = obs.NewHistogram(obs.BatchBounds)
-}
-
-// OpSpan implements model.SpanObserver: per-operator time lands in the
-// per-kind accumulators. The name is deliberately dropped — per-op
-// detail belongs to internal/profile; serving stats track kinds.
-func (c *counters) OpSpan(_ string, kind nn.Kind, d time.Duration) {
-	c.kindNS[kind].Add(int64(d))
 }
 
 func (c *counters) recordLatency(d time.Duration) {
@@ -232,13 +221,6 @@ func (c *counters) snapshot() Stats {
 		}
 	}
 	c.histMu.Unlock()
-	for k := 0; k < nKinds; k++ {
-		if ns := c.kindNS[k].Load(); ns > 0 {
-			if st.KindUS == nil {
-				st.KindUS = make(map[string]float64, nKinds)
-			}
-			st.KindUS[nn.Kind(k).String()] = float64(ns) / 1e3
-		}
-	}
+	st.KindUS = c.ops.KindUS()
 	return st
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"io"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -65,6 +66,53 @@ func TestTraceStagesTile(t *testing.T) {
 		}
 		if sum < 0.95*tr.TotalUS {
 			t.Errorf("stages cover only %.1f%% of end-to-end: %+v", 100*sum/tr.TotalUS, tr)
+		}
+	}
+}
+
+// TestKindUSMatchesTracedOps: the per-kind operator time in Stats and
+// the per-request trace spans come from one recorder, so with one
+// request per forward pass Stats.KindUS is exactly the per-kind sum of
+// every traced request's Ops.
+func TestKindUSMatchesTracedOps(t *testing.T) {
+	cfg := model.RMC1Small().Scaled(500)
+	const n = 6
+	e := traceEngine(t, Options{
+		Workers: 1, QueueDepth: 4, MaxBatch: 1,
+		MaxWait: time.Millisecond, IntraOpWorkers: 1, TraceRing: n,
+	}, cfg)
+	rng := stats.NewRNG(5)
+	for i := 0; i < n; i++ {
+		if _, err := e.Rank(context.Background(), "m", model.NewRandomRequest(cfg, 2, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := e.Traces("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Recent) != n {
+		t.Fatalf("%d traces retained, want %d", len(d.Recent), n)
+	}
+	want := map[string]float64{}
+	for _, tr := range d.Recent {
+		if tr.BatchSamples != tr.Batch || len(tr.Ops) == 0 {
+			t.Fatalf("trace did not run alone or has no spans: %+v", tr)
+		}
+		for _, op := range tr.Ops {
+			want[op.Kind] += op.US
+		}
+	}
+	st, err := e.ModelStats("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.KindUS) != len(want) {
+		t.Fatalf("KindUS kinds %v, traced kinds %v", st.KindUS, want)
+	}
+	for k, us := range want {
+		if got := st.KindUS[k]; math.Abs(got-us) > 1e-9*us+1e-6 {
+			t.Errorf("KindUS[%s] = %v, traced ops sum to %v", k, got, us)
 		}
 	}
 }

@@ -127,10 +127,10 @@ func (m *Model) Forward(req Request) *tensor.Tensor {
 }
 
 // SpanObserver receives one per-operator timing span per executed
-// stage of an instrumented forward pass. Implementations must be safe
-// for the caller's concurrency (the engine shares one observer across
-// its executor workers) and must not allocate if the hot path's
-// zero-allocation contract matters to them.
+// stage of an instrumented forward pass. Its implementation is
+// obs.SpanRecorder; the engine gives each executor worker its own
+// recorder over the model's shared atomic op-time ledger, so the hot
+// path stays lock- and allocation-free.
 type SpanObserver interface {
 	// OpSpan reports that operator name of the given kind ran for d.
 	OpSpan(name string, kind nn.Kind, d time.Duration)

@@ -6,6 +6,7 @@ import (
 
 	"recsys/internal/embcache"
 	"recsys/internal/nn"
+	"recsys/internal/obs"
 	"recsys/internal/stats"
 	"recsys/internal/tensor"
 )
@@ -95,19 +96,6 @@ func TestAppendCTRMatchesCTR(t *testing.T) {
 	}
 }
 
-// spanRecord collects ForwardDeadline span emissions for inspection.
-type spanRecord struct {
-	names []string
-	kinds []nn.Kind
-	total time.Duration
-}
-
-func (r *spanRecord) OpSpan(name string, kind nn.Kind, d time.Duration) {
-	r.names = append(r.names, name)
-	r.kinds = append(r.kinds, kind)
-	r.total += d
-}
-
 // asyncSource is a GatherSource over an op's local tables that fetches
 // each miss list on its own goroutine, so the forward pass runs with
 // rows in flight exactly as it does against a remote shard tier.
@@ -157,7 +145,7 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 			wantSpans++ // feature interaction
 		}
 		check := func(path string) {
-			var rec spanRecord
+			var rec obs.SpanRecorder
 			got := m.ForwardDeadline(req, tensor.NewArena(), 2, &rec, time.Time{})
 			if !tensor.GemmClose(got, want, 512) {
 				t.Errorf("%s %s: instrumented pass deviates from reference", cfg.Name, path)
@@ -165,22 +153,22 @@ func TestForwardSpansEmitsEveryStage(t *testing.T) {
 			if !tensor.Equal(got, local, 0) {
 				t.Errorf("%s %s: instrumented pass not bit-identical to the local hot path", cfg.Name, path)
 			}
-			if len(rec.names) != wantSpans {
-				t.Errorf("%s %s: %d spans, want %d (%v)", cfg.Name, path, len(rec.names), wantSpans, rec.names)
+			if len(rec.Spans) != wantSpans {
+				t.Errorf("%s %s: %d spans, want %d (%v)", cfg.Name, path, len(rec.Spans), wantSpans, rec.Spans)
 			}
 			sls := 0
-			for _, k := range rec.kinds {
-				if k == nn.KindSLS {
+			for _, s := range rec.Spans {
+				if s.Kind == nn.KindSLS.String() {
 					sls++
 				}
 			}
 			if sls != len(cfg.Tables) {
 				t.Errorf("%s %s: %d SLS spans, want one per table (%d)", cfg.Name, path, sls, len(cfg.Tables))
 			}
-			if rec.total <= 0 {
+			if rec.TotalUS() <= 0 {
 				t.Errorf("%s %s: zero total span time", cfg.Name, path)
 			}
-			if last := rec.kinds[len(rec.kinds)-1]; last != nn.KindActivation {
+			if last := rec.Spans[len(rec.Spans)-1].Kind; last != nn.KindActivation.String() {
 				t.Errorf("%s %s: final span kind %v, want activation", cfg.Name, path, last)
 			}
 		}

@@ -165,18 +165,15 @@ func Defaults() []Config {
 	return []Config{RMC1Small(), RMC2Small(), RMC3Small()}
 }
 
-// ByClass returns the small representative of the given class.
-func ByClass(c Class) Config {
-	switch c {
-	case RMC1:
-		return RMC1Small()
-	case RMC2:
-		return RMC2Small()
-	case RMC3:
-		return RMC3Small()
-	case NCF:
-		return MLPerfNCF()
-	default:
-		panic("model: no default config for class " + c.String())
-	}
+// presets is the one table of named configurations a model spec can
+// select (see ParseSpec): the Table I classes, their large variants,
+// and MLPerf-NCF.
+var presets = []struct {
+	name string
+	cfg  func() Config
+}{
+	{"rmc1", RMC1Small}, {"rmc1-large", RMC1Large},
+	{"rmc2", RMC2Small}, {"rmc2-large", RMC2Large},
+	{"rmc3", RMC3Small}, {"rmc3-large", RMC3Large},
+	{"ncf", MLPerfNCF},
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"recsys/internal/nn"
 )
 
 func TestRingNilWhenDisabled(t *testing.T) {
@@ -239,24 +242,6 @@ func TestQuantileSpansBuckets(t *testing.T) {
 	}
 }
 
-func TestWindowAdvance(t *testing.T) {
-	h := NewHistogram([]int64{10, 100})
-	w := NewWindow(h)
-	h.Observe(5)
-	h.Observe(5)
-	if d := w.Advance(); d.Count != 2 {
-		t.Fatalf("first window count %d, want 2", d.Count)
-	}
-	h.Observe(50)
-	if d := w.Advance(); d.Count != 1 || d.Counts[1] != 1 {
-		t.Fatalf("second window %+v, want one value in bucket 1", d)
-	}
-	// An idle window is empty, not a replay.
-	if d := w.Advance(); d.Count != 0 {
-		t.Fatalf("idle window count %d, want 0", d.Count)
-	}
-}
-
 func TestWriteHistogramCumulativeAndScaled(t *testing.T) {
 	h := NewHistogram([]int64{1_000_000, 10_000_000}) // 1ms, 10ms in ns
 	h.Observe(500_000)
@@ -289,5 +274,52 @@ func TestTraceStageSum(t *testing.T) {
 	tr := &Trace{ValidateUS: 1, QueueWaitUS: 10, BatchFormUS: 100, ExecuteUS: 1000}
 	if got := tr.StageSumUS(); got != 1111 {
 		t.Fatalf("StageSumUS = %v, want 1111", got)
+	}
+}
+
+// TestOpTimesConcurrentAdd: executor workers charge one ledger
+// concurrently; every add lands, and untouched kinds stay out of
+// KindUS.
+func TestOpTimesConcurrentAdd(t *testing.T) {
+	var o OpTimes
+	if o.KindUS() != nil {
+		t.Fatal("empty ledger should report nil KindUS")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := SpanRecorder{Ops: &o, OpsOnly: true}
+			for i := 0; i < 1000; i++ {
+				rec.OpSpan("fc", nn.KindFC, time.Microsecond)
+				rec.OpSpan("sls", nn.KindSLS, 2*time.Microsecond)
+			}
+			if len(rec.Spans) != 0 {
+				t.Errorf("OpsOnly recorder kept %d spans", len(rec.Spans))
+			}
+		}()
+	}
+	wg.Wait()
+	got := o.KindUS()
+	if len(got) != 2 || got["FC"] != 4000 || got["SparseLengthsSum"] != 8000 {
+		t.Fatalf("KindUS = %v, want FC 4000µs and SparseLengthsSum 8000µs", got)
+	}
+	if o.NS(nn.KindFC) != 4000*int64(time.Microsecond) {
+		t.Fatalf("NS(FC) = %d", o.NS(nn.KindFC))
+	}
+}
+
+// TestSpanRecorderKeepsSpans: the zero recorder keeps every span, and
+// KindFraction and TotalUS read them.
+func TestSpanRecorderKeepsSpans(t *testing.T) {
+	var rec SpanRecorder
+	rec.OpSpan("bottom", nn.KindFC, 3*time.Microsecond)
+	rec.OpSpan("emb0", nn.KindSLS, time.Microsecond)
+	if len(rec.Spans) != 2 || rec.Spans[1] != (Span{Name: "emb0", Kind: "SparseLengthsSum", US: 1}) {
+		t.Fatalf("spans %+v", rec.Spans)
+	}
+	if rec.TotalUS() != 4 || rec.KindFraction(nn.KindFC) != 0.75 {
+		t.Fatalf("total %v, FC fraction %v", rec.TotalUS(), rec.KindFraction(nn.KindFC))
 	}
 }

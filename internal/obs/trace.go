@@ -1,7 +1,7 @@
 // Package obs is the request-lifecycle observability layer of the
-// serving engine: per-request traces (trace.go, ring.go), fixed-bucket
-// latency histograms (hist.go), and Prometheus text exposition
-// (prom.go).
+// serving engine: per-request traces (trace.go, ring.go), operator
+// spans and per-kind operator time (span.go), fixed-bucket latency
+// histograms (hist.go), and Prometheus text exposition (prom.go).
 //
 // The paper's tail-latency analysis (§VII, Figures 5 and 13) and
 // DeepRecSys both argue that p99 diagnosis needs to know where a
@@ -35,17 +35,6 @@ const (
 	// request.
 	OutcomeError = "error"
 )
-
-// Span is one per-operator execution interval inside a traced
-// request's forward pass, from model.SpanObserver.
-type Span struct {
-	// Name is the operator instance, e.g. "rmc1/bottom" or "rmc1/emb3".
-	Name string `json:"name"`
-	// Kind is the operator class (FC, SparseLengthsSum, ...).
-	Kind string `json:"kind"`
-	// US is the operator's execution time in microseconds.
-	US float64 `json:"us"`
-}
 
 // Trace is the lifecycle record of one request through the serving
 // engine: admission → validate → queue wait → batch formation →

@@ -42,7 +42,6 @@ import (
 	"recsys/internal/nn"
 	"recsys/internal/obs"
 	"recsys/internal/perf"
-	"recsys/internal/profile"
 	"recsys/internal/rank"
 	"recsys/internal/sched"
 	"recsys/internal/server"
@@ -384,10 +383,10 @@ var (
 )
 
 // Wall-clock profiling of real execution.
-type ExecutionProfile = profile.Profile
+type ExecutionProfile = obs.SpanRecorder
 
 // Profiling entry points.
 var (
-	ProfiledForward = profile.Forward
-	ProfileAverage  = profile.Average
+	ProfiledForward = (*model.Model).ProfiledForward
+	ProfileAverage  = (*model.Model).ProfileAverage
 )
